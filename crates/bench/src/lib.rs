@@ -10,6 +10,7 @@
 //! |----------|---------------------------------------------------------|
 //! | `table1` | Table I — dataset statistics                            |
 //! | `fig1`   | Fig. 1 — tweet-density map of Australia                 |
+//! | `fig1_seeds` | Fig. 1 — the five densest cells across seeds        |
 //! | `fig2`   | Fig. 2 — tweets/user and waiting-time distributions     |
 //! | `fig3`   | Fig. 3 — population correlation at three scales + ε sweep |
 //! | `fig4`   | Fig. 4 — estimated-vs-extracted mobility scatters       |

@@ -1,9 +1,9 @@
 //! Study scales and area sets with point-to-area assignment.
 
 use std::sync::Arc;
-use tweetmob_geo::{
-    equirectangular_km, haversine_km, PairGeometry, Point, TrigPoint, EARTH_RADIUS_KM,
-};
+#[cfg(test)]
+use tweetmob_geo::haversine_km;
+use tweetmob_geo::{equirectangular_km, PairGeometry, Point, TrigPoint, EARTH_RADIUS_KM};
 use tweetmob_synth::{Area, NATIONAL_TOP20, NSW_TOP20, SYDNEY_SUBURBS_TOP20};
 
 /// The paper's three geographic scales (§III).
@@ -58,11 +58,11 @@ pub struct AreaSet {
     /// Build-once pairwise centre geometry, shared with every model
     /// consumer (observations, intervening population, epidemic network).
     geometry: Arc<PairGeometry>,
-    /// Per-area precomputed assignment filters for the batch path.
+    /// Per-area precomputed filters for the covering kernel.
     filters: Vec<AreaFilter>,
 }
 
-/// Per-area state precomputed once for [`AreaSet::assign_batch`]: a
+/// Per-area state precomputed once for [`AreaSet::for_each_covering`]: a
 /// conservative degree-space bounding window plus the centre's hoisted
 /// trigonometry.
 ///
@@ -74,7 +74,7 @@ pub struct AreaSet {
 /// equirectangular gate too (the 0.1 % inflation absorbs rounding).
 /// Survivors still run the exact equirectangular gate and the exact
 /// haversine (via [`TrigPoint`], bit-identical by its contract), which
-/// makes batch assignments decision-identical to [`AreaSet::assign`].
+/// makes the kernel's decisions identical to the scalar test oracle's.
 #[derive(Debug, Clone)]
 struct AreaFilter {
     lat: f64,
@@ -203,68 +203,59 @@ impl AreaSet {
         self.geometry.total_distance_km() / (n * (n - 1) / 2) as f64
     }
 
-    /// Assigns a point to the nearest area whose centre is within ε, or
-    /// `None` when no area covers it.
+    /// Calls `f(i, d)` for every area `i` whose centre lies within ε of
+    /// `(lat, lon)`, in area order, with `d` the haversine distance, km.
     ///
-    /// A cheap equirectangular pre-filter at 1.05× the radius rejects
-    /// far-away areas before the exact haversine test (the extraction
-    /// loop runs this for every tweet).
-    pub fn assign(&self, p: Point) -> Option<usize> {
-        let mut best: Option<(usize, f64)> = None;
+    /// The one covering kernel behind both trips (nearest covering area)
+    /// and population (every covering area). Most `(point, area)`
+    /// combinations die in the two-compare degree-space window of the
+    /// build-once [`AreaFilter`]s; survivors pass the equirectangular
+    /// gate at 1.05× the radius and then the exact test `d <= ε`, with
+    /// `d` from [`TrigPoint`] (bit-identical to [`haversine_km`]).
+    ///
+    /// [`haversine_km`]: tweetmob_geo::haversine_km
+    #[inline]
+    pub(crate) fn for_each_covering(&self, lat: f64, lon: f64, mut f: impl FnMut(usize, f64)) {
         let prefilter = self.radius_km * 1.05 + 1.0;
-        for (i, a) in self.areas.iter().enumerate() {
-            if equirectangular_km(a.center, p) > prefilter {
+        let p = Point::new_unchecked(lat, lon);
+        let mut point_trig: Option<TrigPoint> = None;
+        for (i, a) in self.filters.iter().enumerate() {
+            // Conservative window: can only skip what the
+            // equirectangular gate below would skip anyway.
+            if (lat - a.lat).abs() > a.dlat_max || (lon - a.lon).abs() > a.dlon_max {
                 continue;
             }
-            // lint: allow(raw-haversine) — single-point query path; the column shape is assign_batch
-            let d = haversine_km(a.center, p);
-            if d <= self.radius_km && best.is_none_or(|(_, bd)| d < bd) {
-                best = Some((i, d));
+            if equirectangular_km(Point::new_unchecked(a.lat, a.lon), p) > prefilter {
+                continue;
+            }
+            // The point's trigonometry is hoisted lazily: points that
+            // survive no window (the overwhelming majority at paper
+            // scale) never pay for it.
+            let pt = *point_trig.get_or_insert_with(|| TrigPoint::new(p));
+            let d = a.trig.distance_km(&pt);
+            if d <= self.radius_km {
+                f(i, d);
             }
         }
-        best.map(|(i, _)| i)
     }
 
     /// Assigns a whole coordinate-column slice at once, appending one
-    /// code per point to `out`: the assigned area index, or `-1` when no
-    /// area covers the point.
-    ///
-    /// Decision-identical to calling [`AreaSet::assign`] per point — the
-    /// equirectangular gate and the haversine comparison are the exact
-    /// same float expressions — but structured for columnar callers:
-    /// the per-area trigonometry is hoisted into build-once
-    /// [`AreaFilter`]s, and most `(point, area)` combinations die in a
-    /// two-compare degree-space window before any trigonometry runs.
+    /// code per point to `out`: the nearest covering area's index (ties
+    /// go to the lowest index), or `-1` when no area covers the point.
     ///
     /// # Panics
     ///
     /// If the columns have different lengths.
     pub fn assign_batch(&self, lats: &[f64], lons: &[f64], out: &mut Vec<i32>) {
         assert_eq!(lats.len(), lons.len(), "coordinate columns must be parallel");
-        let prefilter = self.radius_km * 1.05 + 1.0;
         out.reserve(lats.len());
         for (&lat, &lon) in lats.iter().zip(lons.iter()) {
             let mut best: Option<(usize, f64)> = None;
-            let mut point_trig: Option<TrigPoint> = None;
-            let p = Point::new_unchecked(lat, lon);
-            for (i, f) in self.filters.iter().enumerate() {
-                // Conservative window: can only skip what the
-                // equirectangular gate below would skip anyway.
-                if (lat - f.lat).abs() > f.dlat_max || (lon - f.lon).abs() > f.dlon_max {
-                    continue;
-                }
-                if equirectangular_km(Point::new_unchecked(f.lat, f.lon), p) > prefilter {
-                    continue;
-                }
-                // The point's trigonometry is hoisted lazily: points that
-                // survive no window (the overwhelming majority at paper
-                // scale) never pay for it.
-                let pt = *point_trig.get_or_insert_with(|| TrigPoint::new(p));
-                let d = f.trig.distance_km(&pt);
-                if d <= self.radius_km && best.is_none_or(|(_, bd)| d < bd) {
+            self.for_each_covering(lat, lon, |i, d| {
+                if best.is_none_or(|(_, bd)| d < bd) {
                     best = Some((i, d));
                 }
-            }
+            });
             out.push(best.map_or(-1, |(i, _)| i as i32));
         }
     }
@@ -277,6 +268,31 @@ impl AreaSet {
     /// Area centres, aligned with [`AreaSet::areas`].
     pub fn centers(&self) -> Vec<Point> {
         self.areas.iter().map(|a| a.center).collect()
+    }
+}
+
+/// The scalar oracle of [`AreaSet::assign_batch`] and of trips'
+/// reference extraction.
+#[cfg(test)]
+impl AreaSet {
+    /// Assigns a point to the nearest area whose centre is within ε, or
+    /// `None` when no area covers it: the plain per-area loop, with the
+    /// same equirectangular pre-filter at 1.05× the radius and the
+    /// scalar haversine.
+    pub(crate) fn assign(&self, p: Point) -> Option<usize> {
+        let mut best: Option<(usize, f64)> = None;
+        let prefilter = self.radius_km * 1.05 + 1.0;
+        for (i, a) in self.areas.iter().enumerate() {
+            if equirectangular_km(a.center, p) > prefilter {
+                continue;
+            }
+            // lint: allow(raw-haversine) — scalar test oracle; the column shape is for_each_covering
+            let d = haversine_km(a.center, p);
+            if d <= self.radius_km && best.is_none_or(|(_, bd)| d < bd) {
+                best = Some((i, d));
+            }
+        }
+        best.map(|(i, _)| i)
     }
 }
 

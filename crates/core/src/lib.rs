@@ -41,6 +41,7 @@ mod displacement;
 mod experiment;
 mod odmatrix;
 mod population;
+mod scan;
 mod temporal;
 mod trips;
 

@@ -1,9 +1,9 @@
 //! Population estimation from unique Twitter users (paper §III, Fig. 3).
 
 use crate::areaset::AreaSet;
+use crate::scan::scan_areas;
 use std::fmt;
 use tweetmob_data::TweetDataset;
-use tweetmob_geo::GridIndex;
 use tweetmob_stats::correlation::{log_pearson, pearson, Correlation};
 use tweetmob_stats::StatsError;
 
@@ -78,16 +78,11 @@ pub struct PooledPopulation {
     pub pooled_raw: Correlation,
 }
 
-/// Estimates populations for one area set.
-///
-/// `index` must be a [`GridIndex`] over the dataset's coordinate
-/// columns in row order (e.g. [`GridIndex::from_columns`]),
-/// so hit indices map straight to the dataset's parallel user column.
-/// The per-area radius queries are independent reads of a shared
-/// [`GridIndex`], so they are dispatched over the [`tweetmob_par`] pool
-/// (`par/population/*` gauges); each area's unique-user count is
-/// computed entirely inside its own map call, so the concatenated
-/// counts are identical at every thread count.
+/// Estimates populations for one area set: the paper's §III count of
+/// distinct users with at least one tweet within ε of each centre. A
+/// tweet counts toward every area that covers it, not only the nearest.
+/// The counts come from the one per-user area scan that trips also use,
+/// so they are identical at every thread count.
 ///
 /// # Errors
 ///
@@ -98,37 +93,22 @@ pub struct PooledPopulation {
 /// same user count → zero variance).
 pub fn estimate_population(
     dataset: &TweetDataset,
-    index: &GridIndex,
     areas: &AreaSet,
 ) -> Result<PopulationCorrelation, StatsError> {
     let _span = tweetmob_obs::span!("population");
-    let users = dataset.users();
-    // Areas are few (≈20) but each query scans a 50 km circle over
-    // potentially millions of points, so even 4 areas are worth
-    // fanning out.
-    let area_list = areas.areas();
-    let twitter: Vec<u64> = tweetmob_par::par_map_reduce(
-        "population",
-        area_list.len(),
-        4,
-        |range| {
-            let mut counts = Vec::with_capacity(range.len());
-            for a in &area_list[range] {
-                let mut hits: Vec<u32> = Vec::new();
-                index.for_each_within_radius(a.center, areas.radius_km(), |i, _| {
-                    hits.push(users[i as usize].0);
-                });
-                hits.sort_unstable();
-                hits.dedup();
-                counts.push(hits.len() as u64);
-            }
-            counts
-        },
-        |mut acc, chunk| {
-            acc.extend(chunk);
-            acc
-        },
-    );
+    population_from_counts(areas, &scan_areas(dataset, areas, "population").users)
+}
+
+/// Rescales per-area distinct-user counts and correlates them with the
+/// census.
+///
+/// # Errors
+///
+/// As [`estimate_population`].
+pub(crate) fn population_from_counts(
+    areas: &AreaSet,
+    twitter: &[u64],
+) -> Result<PopulationCorrelation, StatsError> {
     let census = areas.census_populations();
     let census_total: f64 = census.iter().sum();
     let twitter_total: f64 = twitter.iter().map(|&u| u as f64).sum();
@@ -222,10 +202,6 @@ mod tests {
         TweetDataset::from_tweets(tweets)
     }
 
-    fn index_of(ds: &TweetDataset) -> GridIndex {
-        GridIndex::from_columns(ds.lats(), ds.lons(), 0.2)
-    }
-
     #[test]
     fn unique_users_counted_once() {
         // Users proportional to census → perfect correlation, C exact.
@@ -236,7 +212,7 @@ mod tests {
             .map(|a| (a.population / 10_000).max(1))
             .collect();
         let ds = dataset_with_users(&users);
-        let pop = estimate_population(&ds, &index_of(&ds), &areas).unwrap();
+        let pop = estimate_population(&ds, &areas).unwrap();
         for (a, &want) in pop.areas.iter().zip(&users) {
             assert_eq!(a.twitter_users, want, "{}", a.name);
         }
@@ -254,7 +230,7 @@ mod tests {
         let areas = AreaSet::of_scale(Scale::National);
         let users: Vec<u64> = (1..=20).map(|i| i * 7).collect();
         let ds = dataset_with_users(&users);
-        let pop = estimate_population(&ds, &index_of(&ds), &areas).unwrap();
+        let pop = estimate_population(&ds, &areas).unwrap();
         let rescaled_total: f64 = pop.areas.iter().map(|a| a.rescaled).sum();
         let census_total: f64 = pop.areas.iter().map(|a| a.census).sum();
         assert!((rescaled_total - census_total).abs() / census_total < 1e-9);
@@ -268,7 +244,7 @@ mod tests {
         let users: Vec<u64> = (1..=20).map(|i| i * 50).collect();
         let areas = AreaSet::of_scale(Scale::National);
         let ds = dataset_with_users(&users);
-        let pop = estimate_population(&ds, &index_of(&ds), &areas).unwrap();
+        let pop = estimate_population(&ds, &areas).unwrap();
         assert!(pop.correlation.r < 0.3, "r = {}", pop.correlation.r);
     }
 
@@ -288,8 +264,39 @@ mod tests {
         }
         let ds = TweetDataset::from_tweets(tweets);
         let areas = AreaSet::of_scale(Scale::National);
-        let pop = estimate_population(&ds, &index_of(&ds), &areas).unwrap();
+        let pop = estimate_population(&ds, &areas).unwrap();
         assert_eq!(pop.areas[0].twitter_users, 0, "Sydney should see nobody");
+    }
+
+    #[test]
+    fn a_tweet_counts_in_every_covering_area_but_trips_take_the_nearest() {
+        // Sydney and Newcastle are ~117 km apart, so their 100 km discs
+        // overlap; Melbourne is far from both.
+        let national = Scale::National.areas();
+        let (syd, new, mel) = (national[0], national[6], national[1]);
+        let areas = AreaSet::new(vec![syd, new, mel], 100.0);
+        // ~90 km from Sydney, ~30 km from Newcastle.
+        let overlap = tweetmob_geo::Point::new_unchecked(-33.15, 151.60);
+        let at = |user: u32, secs: i64, p| Tweet::new(UserId(user), Timestamp::from_secs(secs), p);
+        let ds = TweetDataset::from_tweets(vec![
+            at(0, 1, overlap),
+            at(0, 2, overlap),
+            at(1, 1, syd.center),
+            at(1, 2, new.center),
+            at(2, 1, syd.center),
+            at(3, 1, mel.center),
+        ]);
+        let pop = estimate_population(&ds, &areas).unwrap();
+        let users: Vec<u64> = pop.areas.iter().map(|a| a.twitter_users).collect();
+        // User 0 counts once in Sydney and once in Newcastle; nearest-area
+        // counting would give [2, 2, 1].
+        assert_eq!(users, vec![3, 2, 1]);
+        // Trips take the nearest covering area: user 0's pair is a
+        // Newcastle → Newcastle non-trip, user 1 travels Sydney → Newcastle.
+        assert_eq!(areas.assign(overlap), Some(1));
+        let od = crate::trips::extract_trips(&ds, &areas);
+        assert_eq!(od.total(), 1);
+        assert_eq!(od.count(0, 1), 1);
     }
 
     #[test]
@@ -308,7 +315,7 @@ mod tests {
             .collect();
         let ds = TweetDataset::from_tweets(tweets);
         let areas = AreaSet::of_scale(Scale::National);
-        let err = estimate_population(&ds, &index_of(&ds), &areas).unwrap_err();
+        let err = estimate_population(&ds, &areas).unwrap_err();
         assert!(matches!(err, StatsError::EmptySample(_)), "got {err:?}");
     }
 
@@ -321,9 +328,8 @@ mod tests {
             .map(|a| (a.population / 10_000).max(1))
             .collect();
         let ds = dataset_with_users(&users);
-        let idx = index_of(&ds);
-        let a = estimate_population(&ds, &idx, &areas).unwrap();
-        let b = estimate_population(&ds, &idx, &areas).unwrap();
+        let a = estimate_population(&ds, &areas).unwrap();
+        let b = estimate_population(&ds, &areas).unwrap();
         let pooled = pool_population(vec![a, b]).unwrap();
         assert_eq!(pooled.per_scale.len(), 2);
         assert_eq!(pooled.pooled.n, 40);
@@ -335,9 +341,7 @@ mod tests {
         let areas = AreaSet::of_scale(Scale::National);
         let users: Vec<u64> = (1..=20).collect();
         let ds = dataset_with_users(&users);
-        let text = estimate_population(&ds, &index_of(&ds), &areas)
-            .unwrap()
-            .to_string();
+        let text = estimate_population(&ds, &areas).unwrap().to_string();
         assert!(text.contains("Sydney"));
         assert!(text.contains("r(log)"));
     }

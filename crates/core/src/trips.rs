@@ -8,91 +8,34 @@
 
 use crate::areaset::AreaSet;
 use crate::odmatrix::OdMatrix;
+use crate::scan::{scan_areas, AreaScan};
 use tweetmob_data::TweetDataset;
 
-/// Extracts the directed OD matrix of a dataset over an area set.
-///
-/// Users are sharded by index range over the dataset's CSR user offsets
-/// — no per-user view vector is materialised — and each user's
-/// coordinate columns go through [`AreaSet::assign_batch`] in one call,
-/// so the hot loop is a linear scan over contiguous `lat[]` / `lon[]`
-/// slices. Work is dispatched over the shared [`tweetmob_par`] pool per
-/// user block; the result is identical at every thread count because
-/// each trip increments an independent integer cell count and the drop
-/// tallies are commutative sums, and identical to a per-point scalar
-/// walk (the tests' reference) because the batch assignment is
-/// decision-identical to scalar [`AreaSet::assign`].
+/// Extracts the directed OD matrix of a dataset over an area set: each
+/// tweet goes to its nearest covering area (ties to the lowest index).
+/// The matrix is identical at every thread count and to the tests'
+/// per-point scalar walk.
 pub fn extract_trips(dataset: &TweetDataset, areas: &AreaSet) -> OdMatrix {
+    scan_trips(dataset, areas).od
+}
+
+/// The area scan behind [`extract_trips`], timed as span `trips` and
+/// dispatched as `par/trips/*`, with its totals published as the
+/// `trips/*` counters. Fitting reads its user counts too.
+pub(crate) fn scan_trips(dataset: &TweetDataset, areas: &AreaSet) -> AreaScan {
     let _span = tweetmob_obs::span!("trips");
-    let (od, drops) = tweetmob_par::par_map_reduce(
-        "trips",
-        dataset.n_users(),
-        64,
-        |range| {
-            let mut od = OdMatrix::new(areas.len());
-            let mut drops = DropCounts::default();
-            let mut codes: Vec<i32> = Vec::new();
-            for i in range {
-                let view = dataset.user_view(i);
-                codes.clear();
-                areas.assign_batch(view.lats, view.lons, &mut codes);
-                drops.merge(record_codes(&codes, &mut od));
-            }
-            (od, drops)
-        },
-        |(mut od, mut drops), (chunk_od, chunk_drops)| {
-            od.merge(&chunk_od);
-            drops.merge(chunk_drops);
-            (od, drops)
-        },
-    );
-    publish_counts(&od, drops);
-    od
-}
-
-/// Folds one user's assignment codes (area index or `-1`) into `od`,
-/// counting the consecutive pairs that contribute no trip.
-fn record_codes(codes: &[i32], od: &mut OdMatrix) -> DropCounts {
-    let mut drops = DropCounts::default();
-    for w in codes.windows(2) {
-        match (w[0], w[1]) {
-            (a, b) if a >= 0 && b >= 0 && a != b => od.record(a as usize, b as usize),
-            (a, b) if a >= 0 && b >= 0 => drops.same_area += 1,
-            _ => drops.unassigned += 1,
-        }
-    }
-    drops
-}
-
-/// Tallies of consecutive same-user pairs that contribute no trip.
-/// Accumulated per chunk and merged on the outer thread, so the published
-/// counter totals are deterministic regardless of thread count.
-#[derive(Debug, Default, Clone, Copy)]
-struct DropCounts {
-    /// Both endpoints resolved to the same area.
-    same_area: u64,
-    /// At least one endpoint resolved to no study area.
-    unassigned: u64,
-}
-
-impl DropCounts {
-    fn merge(&mut self, other: DropCounts) {
-        self.same_area += other.same_area;
-        self.unassigned += other.unassigned;
-    }
-}
-
-/// Publishes extraction totals to the global metrics registry.
-fn publish_counts(od: &OdMatrix, drops: DropCounts) {
-    tweetmob_obs::counter!("trips/extracted").add(od.total());
-    tweetmob_obs::counter!("trips/dropped_same_area").add(drops.same_area);
-    tweetmob_obs::counter!("trips/dropped_unassigned").add(drops.unassigned);
+    let scan = scan_areas(dataset, areas, "trips");
+    tweetmob_obs::counter!("trips/extracted").add(scan.od.total());
+    tweetmob_obs::counter!("trips/dropped_same_area").add(scan.drops.same_area);
+    tweetmob_obs::counter!("trips/dropped_unassigned").add(scan.drops.unassigned);
+    scan
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::areaset::Scale;
+    use crate::scan::DropCounts;
     use tweetmob_data::{Timestamp, Tweet, UserId, UserTweets};
     use tweetmob_geo::Point;
 

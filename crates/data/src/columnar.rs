@@ -228,7 +228,8 @@ mod tests {
         let buf = encode(&ds);
         assert_eq!(buf.len(), HEADER_BYTES + 4 * 3 + 4 * 4 + 3 * 8 * 4);
         let back = read_columnar(&buf[..]).unwrap();
-        assert_eq!(back.users(), ds.users());
+        assert_eq!(back.unique_users(), ds.unique_users());
+        assert_eq!(back.user_starts(), ds.user_starts());
         assert_eq!(back.times(), ds.times());
         for i in 0..ds.n_tweets() {
             assert_eq!(back.lats()[i].to_bits(), ds.lats()[i].to_bits());
@@ -385,7 +386,8 @@ mod tests {
             for case in 0..48 {
                 let ds = TweetDataset::from_tweets(arb_tweets(&mut SplitMix64::new(case)));
                 let back = read_columnar(&encode(&ds)[..]).unwrap();
-                assert_eq!(ds.users(), back.users(), "case {case}");
+                assert_eq!(ds.unique_users(), back.unique_users(), "case {case}");
+                assert_eq!(ds.user_starts(), back.user_starts(), "case {case}");
                 assert_eq!(ds.times(), back.times(), "case {case}");
                 for i in 0..ds.n_tweets() {
                     assert_eq!(

@@ -7,18 +7,18 @@ use tweetmob_geo::{BoundingBox, Point};
 
 /// A struct-of-arrays tweet dataset, sorted by `(user, time)`.
 ///
-/// Storage is fully columnar: parallel `users`, `times`, `lats`, `lons`
-/// columns rather than a `Vec<Tweet>` (or even a `Vec<Point>`), so the
-/// dominant access patterns — coordinate scans for density maps and
-/// spatial indexing, timestamp scans for waiting times, per-user slices
-/// for trip extraction — each stream through one contiguous `f64`/`i64`
-/// array. User offsets form a CSR layout so a user's tweets are one
-/// contiguous, time-ordered slice; this is also exactly the on-disk
-/// layout of the `TWC0` columnar format ([`crate::columnar`]), which is
-/// why loading it needs no re-sort and no per-record decode.
+/// Storage is fully columnar: parallel `times`, `lats`, `lons` columns
+/// rather than a `Vec<Tweet>` (or even a `Vec<Point>`), so the
+/// dominant access patterns — coordinate scans for density maps,
+/// timestamp scans for waiting times, per-user slices for the area
+/// scan — each stream through one contiguous `f64`/`i64` array. User
+/// offsets form a CSR layout so a user's tweets are one contiguous,
+/// time-ordered slice; there is no per-row user column. This is also
+/// exactly the on-disk layout of the `TWC0` columnar format
+/// ([`crate::columnar`]), which is why loading it needs no re-sort and
+/// no per-record decode.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TweetDataset {
-    users: Vec<UserId>,
     times: Vec<Timestamp>,
     lats: Vec<f64>,
     lons: Vec<f64>,
@@ -78,7 +78,6 @@ impl TweetDataset {
     /// deterministic relative order.
     pub fn from_tweets(mut tweets: Vec<Tweet>) -> Self {
         tweets.sort_by_key(|t| (t.user, t.time));
-        let mut users = Vec::with_capacity(tweets.len());
         let mut times = Vec::with_capacity(tweets.len());
         let mut lats = Vec::with_capacity(tweets.len());
         let mut lons = Vec::with_capacity(tweets.len());
@@ -89,14 +88,12 @@ impl TweetDataset {
                 unique_users.push(t.user);
                 user_starts.push(i as u32);
             }
-            users.push(t.user);
             times.push(t.time);
             lats.push(t.location.lat);
             lons.push(t.location.lon);
         }
         user_starts.push(tweets.len() as u32);
         Self {
-            users,
             times,
             lats,
             lons,
@@ -191,13 +188,7 @@ impl TweetDataset {
         {
             return Err(format!("row {i}: invalid longitude {}", lons[i]));
         }
-        // Materialise the per-row user column from the CSR index.
-        let mut users = Vec::with_capacity(n);
-        for (i, w) in user_starts.windows(2).enumerate() {
-            users.resize(w[1] as usize, unique_users[i]);
-        }
         Ok(Self {
-            users,
             times,
             lats,
             lons,
@@ -209,7 +200,7 @@ impl TweetDataset {
     /// Total number of tweets.
     #[inline]
     pub fn n_tweets(&self) -> usize {
-        self.users.len()
+        self.times.len()
     }
 
     /// Number of distinct users.
@@ -221,7 +212,7 @@ impl TweetDataset {
     /// Whether the dataset holds no tweets.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.users.is_empty()
+        self.times.is_empty()
     }
 
     /// All tweet latitudes, in `(user, time)` order.
@@ -250,12 +241,6 @@ impl TweetDataset {
             .map(|(&lat, &lon)| Point::new_unchecked(lat, lon))
     }
 
-    /// Materialises the locations as one `Vec<Point>` (for consumers
-    /// that store points themselves, e.g. spatial index builders).
-    pub fn collect_points(&self) -> Vec<Point> {
-        self.iter_points().collect()
-    }
-
     /// The CSR user offsets: `user_starts()[i]..user_starts()[i+1]` are
     /// the row indices of `unique_users()[i]`. Always one entry longer
     /// than [`TweetDataset::unique_users`]; last entry equals
@@ -269,12 +254,6 @@ impl TweetDataset {
     #[inline]
     pub fn times(&self) -> &[Timestamp] {
         &self.times
-    }
-
-    /// The user id of each row, in `(user, time)` order.
-    #[inline]
-    pub fn users(&self) -> &[UserId] {
-        &self.users
     }
 
     /// Distinct users, ascending.
@@ -313,10 +292,12 @@ impl TweetDataset {
 
     /// Iterates over every tweet, in `(user, time)` order.
     pub fn iter_tweets(&self) -> impl Iterator<Item = Tweet> + '_ {
-        (0..self.n_tweets()).map(move |i| Tweet {
-            user: self.users[i],
-            time: self.times[i],
-            location: self.point(i),
+        self.iter_users().flat_map(|view| {
+            (0..view.len()).map(move |k| Tweet {
+                user: view.user,
+                time: view.times[k],
+                location: view.point(k),
+            })
         })
     }
 
@@ -325,22 +306,37 @@ impl TweetDataset {
     /// the Tweets of interest"). Users whose every tweet falls outside
     /// disappear entirely.
     pub fn filter_bbox(&self, bbox: &BoundingBox) -> TweetDataset {
-        let tweets: Vec<Tweet> = self
-            .iter_tweets()
-            .filter(|t| bbox.contains(t.location))
-            .collect();
-        TweetDataset::from_tweets(tweets)
+        self.filter_rows(|row| bbox.contains(self.point(row)))
     }
 
     /// A new dataset containing only tweets with `start <= time <= end`
     /// — the slicing primitive behind the temporal-responsiveness
     /// analysis (can a single month of tweets estimate population?).
     pub fn filter_time_range(&self, start: Timestamp, end: Timestamp) -> TweetDataset {
-        let tweets: Vec<Tweet> = self
-            .iter_tweets()
-            .filter(|t| t.time.within(start, end))
-            .collect();
-        TweetDataset::from_tweets(tweets)
+        self.filter_rows(|row| self.times[row].within(start, end))
+    }
+
+    /// The rows for which `keep` holds, as a new dataset. Dropping rows
+    /// keeps the `(user, time)` order, so the kept columns and the CSR
+    /// index are built directly, with no re-sort.
+    fn filter_rows(&self, mut keep: impl FnMut(usize) -> bool) -> TweetDataset {
+        let mut out = TweetDataset {
+            user_starts: vec![0],
+            ..TweetDataset::default()
+        };
+        for (i, w) in self.user_starts.windows(2).enumerate() {
+            let before = out.times.len();
+            for row in (w[0] as usize..w[1] as usize).filter(|&row| keep(row)) {
+                out.times.push(self.times[row]);
+                out.lats.push(self.lats[row]);
+                out.lons.push(self.lons[row]);
+            }
+            if out.times.len() > before {
+                out.unique_users.push(self.unique_users[i]);
+                out.user_starts.push(out.times.len() as u32);
+            }
+        }
+        out
     }
 
     /// Number of tweets per user, aligned with [`TweetDataset::unique_users`].
@@ -461,7 +457,6 @@ mod tests {
             assert_eq!(p.lon.to_bits(), ds.lons()[i].to_bits());
             assert_eq!(ds.point(i), p);
         }
-        assert_eq!(ds.collect_points().len(), ds.n_tweets());
     }
 
     #[test]
@@ -485,8 +480,7 @@ mod tests {
             ds.lons().to_vec(),
         )
         .unwrap();
-        assert_eq!(back.users(), ds.users());
-        assert!(ds.iter_tweets().zip(back.iter_tweets()).all(|(a, b)| a == b));
+        assert_eq!(back, ds);
     }
 
     #[test]
@@ -589,6 +583,46 @@ mod tests {
         assert_eq!(filtered.n_tweets(), 3);
         assert_eq!(filtered.n_users(), 1);
         assert_eq!(filtered.unique_users(), &[UserId(1)]);
+    }
+
+    /// The filters' old implementation: rows out, filter, re-sort in.
+    fn round_trip(ds: &TweetDataset, keep: impl Fn(&Tweet) -> bool) -> TweetDataset {
+        TweetDataset::from_tweets(ds.iter_tweets().filter(|t| keep(t)).collect())
+    }
+
+    #[test]
+    fn filters_equal_the_row_round_trip() {
+        use tweetmob_stats::rng::SplitMix64;
+        let mut rng = SplitMix64::new(11);
+        // Few users and a narrow clock, so equal timestamps are common.
+        let random = TweetDataset::from_tweets(
+            (0..400)
+                .map(|_| {
+                    t(
+                        rng.next_below(12) as u32,
+                        rng.next_below(40) as i64,
+                        rng.next_range(-40.0, -30.0),
+                        rng.next_range(140.0, 155.0),
+                    )
+                })
+                .collect(),
+        );
+        let boxes = [
+            BoundingBox::new(-34.5, -33.0, 150.5, 151.5).unwrap(),
+            BoundingBox::new(-36.0, -31.0, 143.0, 150.0).unwrap(),
+            BoundingBox::new(0.0, 1.0, 0.0, 1.0).unwrap(),
+        ];
+        for ds in [sample(), random] {
+            for b in &boxes {
+                let want = round_trip(&ds, |tw| b.contains(tw.location));
+                assert_eq!(ds.filter_bbox(b), want, "{b:?}");
+            }
+            for (lo, hi) in [(0, 9_000), (10, 20), (50, 4_000), (41, 99), (7, 7)] {
+                let (lo, hi) = (Timestamp::from_secs(lo), Timestamp::from_secs(hi));
+                let want = round_trip(&ds, |tw| tw.time.within(lo, hi));
+                assert_eq!(ds.filter_time_range(lo, hi), want, "{lo}..={hi}");
+            }
+        }
     }
 
     #[test]

@@ -81,15 +81,6 @@ impl BoundingBox {
         self.max_lon - self.min_lon
     }
 
-    /// Box centre in coordinate space.
-    #[inline]
-    pub fn center(&self) -> Point {
-        Point::new_unchecked(
-            (self.min_lat + self.max_lat) / 2.0,
-            (self.min_lon + self.max_lon) / 2.0,
-        )
-    }
-
     /// The smallest box containing both `self` and `other`.
     pub fn union(&self, other: &BoundingBox) -> BoundingBox {
         BoundingBox {
@@ -98,17 +89,6 @@ impl BoundingBox {
             min_lon: self.min_lon.min(other.min_lon),
             max_lon: self.max_lon.max(other.max_lon),
         }
-    }
-
-    /// The intersection of two boxes, or `None` when they are disjoint.
-    pub fn intersection(&self, other: &BoundingBox) -> Option<BoundingBox> {
-        let b = BoundingBox {
-            min_lat: self.min_lat.max(other.min_lat),
-            max_lat: self.max_lat.min(other.max_lat),
-            min_lon: self.min_lon.max(other.min_lon),
-            max_lon: self.max_lon.min(other.max_lon),
-        };
-        (b.min_lat <= b.max_lat && b.min_lon <= b.max_lon).then_some(b)
     }
 
     /// Expands every edge outward by `margin_deg` degrees, clamped to the
@@ -188,20 +168,11 @@ mod tests {
     }
 
     #[test]
-    fn union_and_intersection() {
+    fn union_covers_both() {
         let a = BoundingBox::new(-40.0, -30.0, 140.0, 150.0).unwrap();
         let b = BoundingBox::new(-35.0, -25.0, 145.0, 155.0).unwrap();
         let u = a.union(&b);
         assert_eq!(u, BoundingBox::new(-40.0, -25.0, 140.0, 155.0).unwrap());
-        let i = a.intersection(&b).unwrap();
-        assert_eq!(i, BoundingBox::new(-35.0, -30.0, 145.0, 150.0).unwrap());
-    }
-
-    #[test]
-    fn disjoint_intersection_is_none() {
-        let a = BoundingBox::new(-40.0, -30.0, 140.0, 150.0).unwrap();
-        let b = BoundingBox::new(-20.0, -10.0, 140.0, 150.0).unwrap();
-        assert!(a.intersection(&b).is_none());
     }
 
     #[test]
@@ -231,12 +202,5 @@ mod tests {
     #[test]
     fn covering_empty_is_none() {
         assert!(BoundingBox::covering(std::iter::empty()).is_none());
-    }
-
-    #[test]
-    fn center_of_australia_box_is_inland() {
-        let c = AUSTRALIA_BBOX.center();
-        assert!(c.lat < -9.0 && c.lat > -55.0);
-        assert!(c.lon > 112.0 && c.lon < 160.0);
     }
 }

@@ -4,7 +4,7 @@
 //! a failure names the case that reproduces it.
 
 use tweetmob::data::{Timestamp, Tweet, TweetDataset, UserId};
-use tweetmob::geo::{destination, haversine_km, BoundingBox, GridIndex, Point};
+use tweetmob::geo::{destination, haversine_km, BoundingBox, Point};
 use tweetmob::models::{FittedModel, FlowObservation, Gravity2Fit};
 use tweetmob::stats::correlation::pearson;
 use tweetmob::stats::descriptive::{mean, quantile};
@@ -15,10 +15,6 @@ const CASES: u64 = 64;
 
 fn arb_point(rng: &mut SplitMix64) -> Point {
     Point::new_unchecked(rng.next_range(-85.0, 85.0), rng.next_range(-179.0, 179.0))
-}
-
-fn arb_aus_point(rng: &mut SplitMix64) -> Point {
-    Point::new_unchecked(rng.next_range(-44.0, -10.0), rng.next_range(113.0, 154.0))
 }
 
 /// Between `lo` and `hi - 1` draws of `item`.
@@ -61,27 +57,6 @@ fn destination_inverts_distance() {
             (measured - dist).abs() < 1e-6 * dist.max(1.0),
             "case {case}: wanted {dist}, measured {measured}"
         );
-    }
-}
-
-#[test]
-fn grid_index_matches_brute_force() {
-    for case in 0..CASES {
-        let rng = &mut SplitMix64::new(case);
-        let pts = arb_vec(rng, 1, 200, arb_aus_point);
-        let center = arb_aus_point(rng);
-        let radius = rng.next_range(0.0, 2_000.0);
-        let cell = rng.next_range(0.01, 5.0);
-        let index = GridIndex::build(pts.clone(), cell);
-        let mut got = index.within_radius(center, radius);
-        got.sort_unstable();
-        let want: Vec<u32> = pts
-            .iter()
-            .enumerate()
-            .filter(|(_, &p)| haversine_km(center, p) <= radius)
-            .map(|(i, _)| i as u32)
-            .collect();
-        assert_eq!(got, want, "case {case}");
     }
 }
 
