@@ -9,12 +9,13 @@
 //! column per seed gives the densest cell's distance to Sydney and the
 //! share of tweets in the 300 km interior disc.
 //!
-//! Seeds: `TWEETMOB_SEEDS` (comma-separated; default the calibrated
-//! preset and 1–10). `TWEETMOB_USERS` sets the user count as usual.
+//! Seeds: the calibrated preset and 1–10, each at the default 20,000
+//! users.
 
-use tweetmob_bench::standard_dataset;
 use tweetmob_geo::{haversine_km, DensityGrid, Point, AUSTRALIA_BBOX};
-use tweetmob_synth::{Area, GeneratorConfig, BACKGROUND_TOWNS, NATIONAL_TOP20, NSW_TOP20};
+use tweetmob_synth::{
+    Area, GeneratorConfig, TweetGenerator, BACKGROUND_TOWNS, NATIONAL_TOP20, NSW_TOP20,
+};
 
 const CELL_DEG: f64 = 0.5;
 
@@ -36,12 +37,7 @@ fn cell_of(p: Point) -> (usize, usize) {
 }
 
 fn main() {
-    let seeds: Vec<u64> = match std::env::var("TWEETMOB_SEEDS") {
-        Ok(v) => v.split(',').filter_map(|s| s.trim().parse().ok()).collect(),
-        Err(_) => std::iter::once(GeneratorConfig::default().seed)
-            .chain(1..=10)
-            .collect(),
-    };
+    let seeds = std::iter::once(GeneratorConfig::default().seed).chain(1..=10);
     let gazetteer: Vec<Area> = NATIONAL_TOP20
         .iter()
         .chain(&NSW_TOP20)
@@ -52,8 +48,11 @@ fn main() {
     println!("|---|---|---|---|---|---|---|");
     let mut summary = Vec::new();
     for seed in seeds {
-        std::env::set_var("TWEETMOB_SEED", seed.to_string());
-        let (_, ds) = standard_dataset();
+        let ds = TweetGenerator::new(GeneratorConfig {
+            seed,
+            ..GeneratorConfig::default()
+        })
+        .generate();
         let mut grid = DensityGrid::new(AUSTRALIA_BBOX, CELL_DEG);
         grid.extend(ds.iter_points());
         let top = grid.top_cells(5);

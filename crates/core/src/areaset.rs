@@ -203,8 +203,9 @@ impl AreaSet {
         self.geometry.total_distance_km() / (n * (n - 1) / 2) as f64
     }
 
-    /// Calls `f(i, d)` for every area `i` whose centre lies within ε of
-    /// `(lat, lon)`, in area order, with `d` the haversine distance, km.
+    /// Calls `each(i)` for every area `i` whose centre lies within ε of
+    /// `(lat, lon)`, in area order, and returns the nearest of them (ties
+    /// go to the lowest index), or `-1` when no area covers the point.
     ///
     /// The one covering kernel behind both trips (nearest covering area)
     /// and population (every covering area). Most `(point, area)`
@@ -215,10 +216,11 @@ impl AreaSet {
     ///
     /// [`haversine_km`]: tweetmob_geo::haversine_km
     #[inline]
-    pub(crate) fn for_each_covering(&self, lat: f64, lon: f64, mut f: impl FnMut(usize, f64)) {
+    pub(crate) fn for_each_covering(&self, lat: f64, lon: f64, mut each: impl FnMut(usize)) -> i32 {
         let prefilter = self.radius_km * 1.05 + 1.0;
         let p = Point::new_unchecked(lat, lon);
         let mut point_trig: Option<TrigPoint> = None;
+        let mut best: Option<(usize, f64)> = None;
         for (i, a) in self.filters.iter().enumerate() {
             // Conservative window: can only skip what the
             // equirectangular gate below would skip anyway.
@@ -234,30 +236,13 @@ impl AreaSet {
             let pt = *point_trig.get_or_insert_with(|| TrigPoint::new(p));
             let d = a.trig.distance_km(&pt);
             if d <= self.radius_km {
-                f(i, d);
-            }
-        }
-    }
-
-    /// Assigns a whole coordinate-column slice at once, appending one
-    /// code per point to `out`: the nearest covering area's index (ties
-    /// go to the lowest index), or `-1` when no area covers the point.
-    ///
-    /// # Panics
-    ///
-    /// If the columns have different lengths.
-    pub fn assign_batch(&self, lats: &[f64], lons: &[f64], out: &mut Vec<i32>) {
-        assert_eq!(lats.len(), lons.len(), "coordinate columns must be parallel");
-        out.reserve(lats.len());
-        for (&lat, &lon) in lats.iter().zip(lons.iter()) {
-            let mut best: Option<(usize, f64)> = None;
-            self.for_each_covering(lat, lon, |i, d| {
+                each(i);
                 if best.is_none_or(|(_, bd)| d < bd) {
                     best = Some((i, d));
                 }
-            });
-            out.push(best.map_or(-1, |(i, _)| i as i32));
+            }
         }
+        best.map_or(-1, |(i, _)| i as i32)
     }
 
     /// Census populations as `f64`, aligned with [`AreaSet::areas`].
@@ -271,10 +256,25 @@ impl AreaSet {
     }
 }
 
-/// The scalar oracle of [`AreaSet::assign_batch`] and of trips'
-/// reference extraction.
+/// The scalar oracle of the covering kernel and of trips' reference
+/// extraction, and the batch shape the kernel's tests drive.
 #[cfg(test)]
 impl AreaSet {
+    /// Appends one code per point to `out`: the nearest covering area
+    /// from [`AreaSet::for_each_covering`], or `-1`.
+    ///
+    /// # Panics
+    ///
+    /// If the columns have different lengths.
+    pub(crate) fn assign_batch(&self, lats: &[f64], lons: &[f64], out: &mut Vec<i32>) {
+        assert_eq!(lats.len(), lons.len(), "coordinate columns must be parallel");
+        out.extend(
+            lats.iter()
+                .zip(lons)
+                .map(|(&lat, &lon)| self.for_each_covering(lat, lon, |_| {})),
+        );
+    }
+
     /// Assigns a point to the nearest area whose centre is within ε, or
     /// `None` when no area covers it: the plain per-area loop, with the
     /// same equirectangular pre-filter at 1.05× the radius and the

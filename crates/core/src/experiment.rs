@@ -268,8 +268,10 @@ impl<'a> Experiment<'a> {
     /// [`ModelBundle`].
     ///
     /// One per-user area scan (span `trips`) yields both the OD matrix
-    /// and, for [`PopulationSource::Twitter`], the distinct-user counts
-    /// that span `population` turns into the population vector. The
+    /// and, for [`PopulationSource::Twitter`], the distinct-user counts.
+    /// The distinct counting is therefore timed under `trips`; span
+    /// `population` here times only the rescaling of those counts into
+    /// the population vector, so it reads near zero. The
     /// bundle holds the four fitted artifacts, the area metadata
     /// and population vector they were fitted against, and the shared
     /// pairwise geometry (an [`Arc`] clone of the area set's cache, so

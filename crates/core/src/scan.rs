@@ -61,17 +61,12 @@ pub(crate) fn scan_areas(dataset: &TweetDataset, areas: &AreaSet, stage: &str) -
             for u in range {
                 codes.clear();
                 for k in starts[u] as usize..starts[u + 1] as usize {
-                    let mut best: Option<(usize, f64)> = None;
-                    areas.for_each_covering(lats[k], lons[k], |i, d| {
+                    codes.push(areas.for_each_covering(lats[k], lons[k], |i| {
                         if last_user[i] != u {
                             last_user[i] = u;
                             scan.users[i] += 1;
                         }
-                        if best.is_none_or(|(_, bd)| d < bd) {
-                            best = Some((i, d));
-                        }
-                    });
-                    codes.push(best.map_or(-1, |(i, _)| i as i32));
+                    }));
                 }
                 scan.drops.merge(record_codes(&codes, &mut scan.od));
             }
@@ -127,8 +122,9 @@ mod tests {
     /// so exact distance ties occur), a log-uniform radius in
     /// 0.1–2,000 km and 200–800 tweets over up to 100 users, half of
     /// them scattered around area centres. The scan's per-area user
-    /// counts and OD matrix, and `assign_batch`'s codes, must equal a
-    /// brute-force haversine walk, at 1 and at 8 threads.
+    /// counts and OD matrix, and the covering kernel's nearest-area
+    /// codes, must equal a brute-force haversine walk, at 1 and at 8
+    /// threads.
     #[test]
     fn area_scan_matches_brute_force() {
         for case in 0..64 {
