@@ -201,7 +201,9 @@ fn read_dataset(path: &str) -> Result<TweetDataset> {
     let mut reader = BufReader::new(file);
     // fill_buf peeks without consuming, so each branch's reader starts
     // at byte 0 and validates the full header itself.
-    let head = reader.peek_fill_buf().map_err(|e| format!("cannot read: {e}"))?;
+    let head = reader
+        .peek_fill_buf()
+        .map_err(|e| format!("cannot read: {e}"))?;
     Ok(if head.starts_with(&tweetmob_data::columnar::MAGIC) {
         tweetmob_data::columnar::read_columnar(reader)?
     } else if path.ends_with(".csv") {
@@ -342,8 +344,7 @@ pub fn emit_observability(args: &Args, subcommand: &str, ok: bool) -> Result<()>
         } else {
             registry.to_chrome_trace(redact)
         };
-        std::fs::write(path, rendered)
-            .map_err(|e| format!("cannot write trace to {path}: {e}"))?;
+        std::fs::write(path, rendered).map_err(|e| format!("cannot write trace to {path}: {e}"))?;
         eprintln!("wrote trace events to {path}");
     }
     if args.has(crate::args::TRACE) {
@@ -714,7 +715,9 @@ pub fn epidemic(args: &Args) -> Result<()> {
 /// flushed) before serving starts, so a supervisor binding port `0` can
 /// read where the kernel put us.
 pub fn serve(args: &Args) -> Result<()> {
-    let path = args.get("artifact-in").ok_or("missing --artifact-in PATH")?;
+    let path = args
+        .get("artifact-in")
+        .ok_or("missing --artifact-in PATH")?;
     let _span = tweetmob_obs::span!("artifact_in");
     tweetmob_obs::manifest::record_input(path);
     let bundle = ModelBundle::load_file(path)?;

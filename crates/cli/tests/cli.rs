@@ -545,8 +545,8 @@ fn trace_out_exports_chrome_and_collapsed_formats() {
     assert!(out.status.success(), "{}", stderr(&out));
     let text = std::fs::read_to_string(&folded).unwrap();
     assert!(
-        text.lines().any(|l| l.starts_with("load/read_jsonl ")
-            || l.starts_with("load;read_jsonl ")),
+        text.lines()
+            .any(|l| l.starts_with("load/read_jsonl ") || l.starts_with("load;read_jsonl ")),
         "collapsed stacks use ;-joined frames: {text}"
     );
     for line in text.lines() {
@@ -746,7 +746,11 @@ impl Drop for ServeChild {
 fn http_get(addr: &str, target: &str) -> (u16, String) {
     use std::io::{BufRead, BufReader, Read, Write};
     let mut stream = std::net::TcpStream::connect(addr).expect("connect to serve child");
-    write!(stream, "GET {target} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n").unwrap();
+    write!(
+        stream,
+        "GET {target} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n"
+    )
+    .unwrap();
     let mut reader = BufReader::new(stream);
     let mut status_line = String::new();
     reader.read_line(&mut status_line).expect("status line");
@@ -780,9 +784,16 @@ fn serve_answers_http_queries_in_parity_with_predict_json() {
 
     let data = tmp("serve.twc");
     let artifact = tmp("serve.tma");
-    assert!(run(&["generate", data.to_str().unwrap(), "--users", "1500", "--seed", "13"])
-        .status
-        .success());
+    assert!(run(&[
+        "generate",
+        data.to_str().unwrap(),
+        "--users",
+        "1500",
+        "--seed",
+        "13"
+    ])
+    .status
+    .success());
     let out = run(&[
         "fit",
         data.to_str().unwrap(),

@@ -267,7 +267,11 @@ impl AreaSet {
     ///
     /// If the columns have different lengths.
     pub(crate) fn assign_batch(&self, lats: &[f64], lons: &[f64], out: &mut Vec<i32>) {
-        assert_eq!(lats.len(), lons.len(), "coordinate columns must be parallel");
+        assert_eq!(
+            lats.len(),
+            lons.len(),
+            "coordinate columns must be parallel"
+        );
         out.extend(
             lats.iter()
                 .zip(lons)

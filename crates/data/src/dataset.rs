@@ -552,9 +552,14 @@ mod tests {
 
     #[test]
     fn from_sorted_columns_empty_is_valid() {
-        let ds =
-            TweetDataset::from_sorted_columns(Vec::new(), vec![0], Vec::new(), Vec::new(), Vec::new())
-                .unwrap();
+        let ds = TweetDataset::from_sorted_columns(
+            Vec::new(),
+            vec![0],
+            Vec::new(),
+            Vec::new(),
+            Vec::new(),
+        )
+        .unwrap();
         assert!(ds.is_empty());
         assert_eq!(ds.n_users(), 0);
     }

@@ -40,7 +40,12 @@ pub mod r0;
 pub mod scenario;
 pub mod stochastic;
 
+pub use effective::{
+    arrival_time_correlation, effective_distance_from, effective_distance_matrix,
+    ArrivalCorrelation,
+};
 pub use network::{MobilityNetwork, NetworkError};
-pub use effective::{arrival_time_correlation, effective_distance_from, effective_distance_matrix, ArrivalCorrelation};
 pub use r0::{estimate_r0, R0Estimate};
-pub use scenario::{EpidemicTimeline, OutbreakScenario, ScenarioError, SeirParams, TravelRestriction};
+pub use scenario::{
+    EpidemicTimeline, OutbreakScenario, ScenarioError, SeirParams, TravelRestriction,
+};

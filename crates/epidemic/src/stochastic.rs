@@ -85,7 +85,11 @@ impl DiscreteState {
     pub fn susceptible(net: &MobilityNetwork, seir: bool) -> Self {
         let n = net.n_patches();
         Self {
-            s: net.populations().iter().map(|&p| p.round() as u64).collect(),
+            s: net
+                .populations()
+                .iter()
+                .map(|&p| p.round() as u64)
+                .collect(),
             e: if seir { vec![0; n] } else { Vec::new() },
             i: vec![0; n],
             r: vec![0; n],
@@ -146,10 +150,7 @@ pub fn step(
     let seir = rates.sigma.is_some();
     // Epidemic transitions first (per patch, using start-of-step counts).
     for p in 0..n {
-        let pop = state.s[p]
-            + state.i[p]
-            + state.r[p]
-            + if seir { state.e[p] } else { 0 };
+        let pop = state.s[p] + state.i[p] + state.r[p] + if seir { state.e[p] } else { 0 };
         if pop == 0 {
             continue;
         }
@@ -236,12 +237,8 @@ mod tests {
     }
 
     fn net_two() -> MobilityNetwork {
-        MobilityNetwork::from_flows(
-            vec![50_000.0, 50_000.0],
-            &[(0, 1, 1.0), (1, 0, 1.0)],
-            0.05,
-        )
-        .unwrap()
+        MobilityNetwork::from_flows(vec![50_000.0, 50_000.0], &[(0, 1, 1.0), (1, 0, 1.0)], 0.05)
+            .unwrap()
     }
 
     #[test]
@@ -363,7 +360,11 @@ mod tests {
                     .flat_map(|i| (0..n).filter(move |&j| j != i).map(move |j| (i, j, 1.0)))
                     .collect();
                 let net = MobilityNetwork::from_flows(populations, &flows, 0.05).unwrap();
-                let rates = Rates { beta, gamma, sigma: None };
+                let rates = Rates {
+                    beta,
+                    gamma,
+                    sigma: None,
+                };
                 let mut state = DiscreteState::susceptible(&net, false);
                 state.seed_infection(0, 10);
                 let before = state.total();

@@ -31,7 +31,11 @@ use crate::point::Point;
 ///
 /// If `lats` and `lons` have different lengths.
 pub fn haversine_km_batch(origin: Point, lats: &[f64], lons: &[f64], out: &mut Vec<f64>) {
-    assert_eq!(lats.len(), lons.len(), "coordinate columns must be parallel");
+    assert_eq!(
+        lats.len(),
+        lons.len(),
+        "coordinate columns must be parallel"
+    );
     let o = TrigPoint::new(origin);
     out.reserve(lats.len());
     for (&lat, &lon) in lats.iter().zip(lons.iter()) {

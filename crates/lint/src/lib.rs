@@ -1941,7 +1941,11 @@ mod tests {
         let scoped = "fn f() {\n    std::thread::scope(|s| { let _ = s; });\n    \
                       crossbeam::scope(|s| { let _ = s; }).unwrap();\n}\n";
         let d = lint_source("server.rs", "tweetmob-serve", FileKind::Library, scoped);
-        assert_eq!(d.iter().filter(|d| d.rule == Rule::ParLayer).count(), 2, "{d:?}");
+        assert_eq!(
+            d.iter().filter(|d| d.rule == Rule::ParLayer).count(),
+            2,
+            "{d:?}"
+        );
         // And the sanction is serve's alone: the same spawn elsewhere
         // keeps flagging.
         let other = lint_source("m.rs", "tweetmob-core", FileKind::Library, spawn);
@@ -2046,7 +2050,11 @@ mod tests {
                    loop {\n        \
                    s += haversine_km(o, pts[0]);\n        break;\n    }\n    s\n}\n";
         let d = lint_source("m.rs", "tweetmob-core", FileKind::Library, src);
-        assert_eq!(rules(&d), vec![Rule::RawHaversine, Rule::RawHaversine], "{d:?}");
+        assert_eq!(
+            rules(&d),
+            vec![Rule::RawHaversine, Rule::RawHaversine],
+            "{d:?}"
+        );
         assert_eq!(d[0].line, 5);
         assert_eq!(d[1].line, 9);
     }

@@ -231,8 +231,8 @@ mod tests {
         assert_eq!(h.quantile(0.5), 0, "empty histogram");
         h.record(5);
         h.record(1_000); // overflow
-        // p99 rank lands in the overflow bucket: saturate at the last
-        // bound rather than invent a value the histogram never saw.
+                         // p99 rank lands in the overflow bucket: saturate at the last
+                         // bound rather than invent a value the histogram never saw.
         assert_eq!(h.quantile(0.99), 10);
     }
 

@@ -195,8 +195,7 @@ impl MetricsRegistry {
     pub(crate) fn record_span(&self, path: &str, elapsed_ns: u64, child_ns: u64) {
         let t_ns = self.epoch_ns();
         lock(&self.spans).record(path, elapsed_ns, child_ns);
-        lock(&self.trace)
-            .record(TracePhase::End, path, t_ns, elapsed_ns);
+        lock(&self.trace).record(TracePhase::End, path, t_ns, elapsed_ns);
     }
 
     /// Nanoseconds since the registry's first trace event (the epoch is
@@ -323,9 +322,8 @@ impl MetricsRegistry {
         write_entries(
             &mut out,
             gauges.iter().map(|(name, cell)| {
-                let shape = name.ends_with("_ns")
-                    || name.starts_with("alloc/")
-                    || name.starts_with("par/");
+                let shape =
+                    name.ends_with("_ns") || name.starts_with("alloc/") || name.starts_with("par/");
                 let shown = if redact && shape {
                     0
                 } else {
@@ -349,28 +347,28 @@ impl MetricsRegistry {
             histograms.iter().map(|(name, hist)| (name, (name, hist))),
             4,
             |out, (name, hist)| {
-            let duration_valued = redact && name.ends_with("_ns");
-            let counts: Vec<u64> = hist
-                .buckets
-                .iter()
-                .map(|b| b.load(Ordering::Relaxed))
-                .collect();
-            let (overflow, bucket_counts) = counts
-                .split_last()
-                .map_or((0, &counts[..]), |(o, rest)| (*o, rest));
-            let zeroed = vec![0u64; bucket_counts.len()];
-            let (shown_buckets, overflow, sum, p50, p90, p99) = if duration_valued {
-                (&zeroed[..], 0, 0, 0, 0, 0)
-            } else {
-                (
-                    bucket_counts,
-                    overflow,
-                    hist.sum.load(Ordering::Relaxed),
-                    hist.quantile(0.50),
-                    hist.quantile(0.90),
-                    hist.quantile(0.99),
-                )
-            };
+                let duration_valued = redact && name.ends_with("_ns");
+                let counts: Vec<u64> = hist
+                    .buckets
+                    .iter()
+                    .map(|b| b.load(Ordering::Relaxed))
+                    .collect();
+                let (overflow, bucket_counts) = counts
+                    .split_last()
+                    .map_or((0, &counts[..]), |(o, rest)| (*o, rest));
+                let zeroed = vec![0u64; bucket_counts.len()];
+                let (shown_buckets, overflow, sum, p50, p90, p99) = if duration_valued {
+                    (&zeroed[..], 0, 0, 0, 0, 0)
+                } else {
+                    (
+                        bucket_counts,
+                        overflow,
+                        hist.sum.load(Ordering::Relaxed),
+                        hist.quantile(0.50),
+                        hist.quantile(0.90),
+                        hist.quantile(0.99),
+                    )
+                };
                 let _ = write!(
                     out,
                     "{{\"bounds\": {}, \"buckets\": {}, \"overflow\": {overflow}, \
@@ -436,7 +434,11 @@ impl MetricsRegistry {
             if i > 0 {
                 out.push(',');
             }
-            let (seq, t_ns, dur_ns) = if redact { (0, 0, 0) } else { (e.seq, e.t_ns, e.dur_ns) };
+            let (seq, t_ns, dur_ns) = if redact {
+                (0, 0, 0)
+            } else {
+                (e.seq, e.t_ns, e.dur_ns)
+            };
             let _ = write!(
                 out,
                 "\n      {{\"dur_ns\": {dur_ns}, \"path\": \"{}\", \"phase\": \"{}\", \
@@ -790,7 +792,10 @@ mod tests {
         let full = r.to_json();
         assert!(full.contains("\"sum\": 2000500"));
         let redacted = r.to_json_redacted();
-        assert!(redacted.contains("\"count\": 2"), "counts are deterministic");
+        assert!(
+            redacted.contains("\"count\": 2"),
+            "counts are deterministic"
+        );
         assert!(redacted.contains("\"sum\": 0"));
         assert!(redacted.contains("\"p99\": 0"));
     }
@@ -824,7 +829,10 @@ mod tests {
         assert_eq!(h.quantile(0.99), 100, "p99 saturates at the last bound");
         let json = r.to_json();
         assert!(json.contains("\"overflow\": 9"), "overflow visible: {json}");
-        assert!(json.contains("\"p99\": 100"), "saturated p99 rendered: {json}");
+        assert!(
+            json.contains("\"p99\": 100"),
+            "saturated p99 rendered: {json}"
+        );
     }
 
     #[test]

@@ -123,7 +123,9 @@ impl Timer {
     /// Starts the stopwatch.
     #[must_use]
     pub fn start() -> Self {
-        Self { started: Instant::now() }
+        Self {
+            started: Instant::now(),
+        }
     }
 
     /// Nanoseconds since [`Timer::start`], saturating at `u64::MAX`.
@@ -232,9 +234,10 @@ impl Drop for SpanGuard<'_> {
             #[cfg(feature = "alloc")]
             if let Some(open) = self.alloc_at_open.take() {
                 let now = tweetmob_alloc::snapshot();
-                registry
-                    .gauge(&format!("alloc/{path}/allocations"))
-                    .set(i64::try_from(now.allocations.saturating_sub(open.allocations)).unwrap_or(i64::MAX));
+                registry.gauge(&format!("alloc/{path}/allocations")).set(
+                    i64::try_from(now.allocations.saturating_sub(open.allocations))
+                        .unwrap_or(i64::MAX),
+                );
                 registry
                     .gauge(&format!("alloc/{path}/peak_bytes"))
                     .set(i64::try_from(now.peak_bytes).unwrap_or(i64::MAX));

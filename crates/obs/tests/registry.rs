@@ -10,7 +10,14 @@ fn empty_registry_serializes_to_a_valid_document() {
     let registry = MetricsRegistry::new();
     let json = registry.to_json();
     let doc: Value = json::parse(json.as_bytes()).expect("valid JSON");
-    for section in ["counters", "gauges", "histograms", "manifest", "timing", "trace"] {
+    for section in [
+        "counters",
+        "gauges",
+        "histograms",
+        "manifest",
+        "timing",
+        "trace",
+    ] {
         assert!(doc.get(section).is_some(), "missing section {section}");
     }
     assert_eq!(doc["counters"], Value::Object(Default::default()));

@@ -171,7 +171,14 @@ impl ScatterChart {
             "#333333",
         );
         c.text(WIDTH / 2.0, 22.0, &self.title, 15.0, "middle", 0.0);
-        c.text(WIDTH / 2.0, HEIGHT - 14.0, &self.x_label, 12.0, "middle", 0.0);
+        c.text(
+            WIDTH / 2.0,
+            HEIGHT - 14.0,
+            &self.x_label,
+            12.0,
+            "middle",
+            0.0,
+        );
         c.text(16.0, HEIGHT / 2.0, &self.y_label, 12.0, "middle", -90.0);
 
         // Ticks + grid.

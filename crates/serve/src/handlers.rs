@@ -57,13 +57,19 @@ impl ApiError {
     /// `400 Bad Request`.
     #[must_use]
     pub fn bad_request(message: String) -> Self {
-        ApiError { status: 400, message }
+        ApiError {
+            status: 400,
+            message,
+        }
     }
 
     /// `404 Not Found`.
     #[must_use]
     pub fn not_found(message: String) -> Self {
-        ApiError { status: 404, message }
+        ApiError {
+            status: 404,
+            message,
+        }
     }
 
     /// `405 Method Not Allowed`.
@@ -111,12 +117,17 @@ pub fn handle(state: &AppState, req: &Request) -> Response {
     let endpoint = endpoint_label(&req.path);
     let response = route(state, req).unwrap_or_else(ApiError::into_response);
     let registry = tweetmob_obs::global();
-    registry.counter(&format!("serve/{endpoint}/requests")).add(1);
+    registry
+        .counter(&format!("serve/{endpoint}/requests"))
+        .add(1);
     if response.status >= 400 {
         registry.counter(&format!("serve/{endpoint}/errors")).add(1);
     }
     registry
-        .histogram(&format!("serve/{endpoint}/latency_ns"), &SERVE_LATENCY_BOUNDS_NS)
+        .histogram(
+            &format!("serve/{endpoint}/latency_ns"),
+            &SERVE_LATENCY_BOUNDS_NS,
+        )
         .record(timer.elapsed_ns());
     response
 }
@@ -202,9 +213,8 @@ fn model_param(req: &Request) -> Result<Vec<ModelKind>, ApiError> {
     match req.query.get("model").map(String::as_str) {
         None => Ok(ModelKind::ALL.to_vec()),
         Some(m) if m.eq_ignore_ascii_case("all") => Ok(ModelKind::ALL.to_vec()),
-        Some(m) => Ok(vec![
-            ModelBundle::resolve_model(m).map_err(|e| ApiError::bad_request(format!("{e}, or all")))?,
-        ]),
+        Some(m) => Ok(vec![ModelBundle::resolve_model(m)
+            .map_err(|e| ApiError::bad_request(format!("{e}, or all")))?]),
     }
 }
 
@@ -273,9 +283,9 @@ fn top_k(state: &AppState, req: &Request) -> Result<Response, ApiError> {
     let origin = area_param(bundle, req, "origin")?;
     let k: usize = match req.query.get("k") {
         None => 5,
-        Some(raw) => raw
-            .parse()
-            .map_err(|_| ApiError::bad_request(format!("k={raw:?} is not a non-negative integer")))?,
+        Some(raw) => raw.parse().map_err(|_| {
+            ApiError::bad_request(format!("k={raw:?} is not a non-negative integer"))
+        })?,
     };
     let models = kinds
         .iter()
@@ -357,7 +367,9 @@ fn epidemic(state: &AppState, req: &Request) -> Result<Response, ApiError> {
     let seed_city = body
         .get("seed_city")
         .and_then(Value::as_str)
-        .ok_or_else(|| ApiError::bad_request("field \"seed_city\" (an area name) is required".into()))?;
+        .ok_or_else(|| {
+            ApiError::bad_request("field \"seed_city\" (an area name) is required".into())
+        })?;
     let seed_patch = bundle.resolve_area(seed_city)?;
     let kind = match body.get("model").and_then(Value::as_str) {
         None => ModelKind::Gravity2,

@@ -61,6 +61,6 @@ mod handlers;
 mod http;
 mod server;
 
-pub use handlers::{handle, AppState, ApiError};
+pub use handlers::{handle, ApiError, AppState};
 pub use http::{read_request, HttpError, Request, Response, MAX_BODY_BYTES};
 pub use server::{serve, ServerHandle};

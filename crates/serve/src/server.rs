@@ -90,7 +90,9 @@ pub fn serve<A: ToSocketAddrs>(
         let listener = listener.try_clone()?;
         let state = state.clone();
         let stop = Arc::clone(&stop);
-        handles.push(std::thread::spawn(move || worker_loop(&listener, &state, &stop)));
+        handles.push(std::thread::spawn(move || {
+            worker_loop(&listener, &state, &stop)
+        }));
     }
     Ok(ServerHandle {
         addr,

@@ -42,7 +42,13 @@ fn main() {
     let intervening: Vec<Vec<f64>> = (0..n)
         .map(|i| {
             (0..n)
-                .map(|j| if i == j { 0.0 } else { intervening_calc.s(i, j) })
+                .map(|j| {
+                    if i == j {
+                        0.0
+                    } else {
+                        intervening_calc.s(i, j)
+                    }
+                })
                 .collect()
         })
         .collect();
