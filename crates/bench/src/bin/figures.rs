@@ -11,7 +11,7 @@ use std::path::Path;
 use tweetmob_bench::{print_header, standard_dataset};
 use tweetmob_core::{Experiment, Scale};
 use tweetmob_geo::{DensityGrid, AUSTRALIA_BBOX};
-use tweetmob_models::{FittedModel, FlowObservation};
+use tweetmob_models::FittedModel;
 use tweetmob_plot::{AxisKind, Heatmap, ScatterChart};
 use tweetmob_stats::binning::LogBins;
 
@@ -105,25 +105,13 @@ fn main() {
                 continue;
             }
         };
-        let panels: [(&str, Box<dyn Fn(&FlowObservation) -> f64>); 3] = [
-            ("Gravity 4Param", {
-                let m = report.gravity4;
-                Box::new(move |o: &FlowObservation| m.predict_flow(o))
-            }),
-            ("Gravity 2Param", {
-                let m = report.gravity2;
-                Box::new(move |o: &FlowObservation| m.predict_flow(o))
-            }),
-            ("Radiation", {
-                let m = report.radiation;
-                Box::new(move |o: &FlowObservation| m.predict_flow(o))
-            }),
-        ];
-        for (name, predict) in &panels {
+        let panels: [&dyn FittedModel; 3] = [&report.gravity4, &report.gravity2, &report.radiation];
+        for model in panels {
+            let name = model.model_name();
             let mut pairs = Vec::new();
             for o in &report.observations {
                 if o.observed_flow > 0.0 {
-                    let p = predict(o);
+                    let p = model.predict_flow(o);
                     if p > 0.0 && p.is_finite() {
                         pairs.push((p, o.observed_flow));
                     }

@@ -93,7 +93,7 @@ pub fn waiting_time_stationarity(dataset: &TweetDataset) -> Result<(f64, f64), E
     };
     let a = capped_gaps(&first);
     let b = capped_gaps(&second);
-    Ok(ks_two_sample(&a, &b).map_err(tweetmob_stats::StatsError::from)?)
+    Ok(ks_two_sample(&a, &b)?)
 }
 
 /// Splits the dataset's observed time span into `n_windows` equal

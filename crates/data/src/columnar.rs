@@ -317,7 +317,7 @@ mod tests {
         }
         match decode_columnar(&buf) {
             Err(IoError::Format { message, .. }) => {
-                assert!(message.contains("unsorted"), "{message}")
+                assert!(message.contains("unsorted"), "{message}");
             }
             other => panic!("expected unsorted rejection, got {other:?}"),
         }
@@ -333,7 +333,7 @@ mod tests {
         buf[times_at..times_at + 8].copy_from_slice(&9_999i64.to_le_bytes());
         match decode_columnar(&buf) {
             Err(IoError::Format { message, .. }) => {
-                assert!(message.contains("timestamps"), "{message}")
+                assert!(message.contains("timestamps"), "{message}");
             }
             other => panic!("expected time-order rejection, got {other:?}"),
         }
@@ -347,7 +347,7 @@ mod tests {
         buf[lats_at..lats_at + 8].copy_from_slice(&200.0f64.to_le_bytes());
         match decode_columnar(&buf) {
             Err(IoError::Format { message, .. }) => {
-                assert!(message.contains("latitude"), "{message}")
+                assert!(message.contains("latitude"), "{message}");
             }
             other => panic!("expected latitude rejection, got {other:?}"),
         }

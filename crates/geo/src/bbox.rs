@@ -81,27 +81,6 @@ impl BoundingBox {
         self.max_lon - self.min_lon
     }
 
-    /// The smallest box containing both `self` and `other`.
-    pub fn union(&self, other: &BoundingBox) -> BoundingBox {
-        BoundingBox {
-            min_lat: self.min_lat.min(other.min_lat),
-            max_lat: self.max_lat.max(other.max_lat),
-            min_lon: self.min_lon.min(other.min_lon),
-            max_lon: self.max_lon.max(other.max_lon),
-        }
-    }
-
-    /// Expands every edge outward by `margin_deg` degrees, clamped to the
-    /// valid coordinate range.
-    pub fn expanded(&self, margin_deg: f64) -> BoundingBox {
-        BoundingBox {
-            min_lat: (self.min_lat - margin_deg).max(-90.0),
-            max_lat: (self.max_lat + margin_deg).min(90.0),
-            min_lon: (self.min_lon - margin_deg).max(-180.0),
-            max_lon: (self.max_lon + margin_deg).min(180.0),
-        }
-    }
-
     /// The smallest box covering every point in the iterator, or `None`
     /// when the iterator is empty.
     pub fn covering<I: IntoIterator<Item = Point>>(points: I) -> Option<BoundingBox> {
@@ -165,24 +144,6 @@ mod tests {
         assert!(b.contains(Point::new_unchecked(-33.0, 151.0)));
         assert_eq!(b.lat_span(), 0.0);
         assert_eq!(b.lon_span(), 0.0);
-    }
-
-    #[test]
-    fn union_covers_both() {
-        let a = BoundingBox::new(-40.0, -30.0, 140.0, 150.0).unwrap();
-        let b = BoundingBox::new(-35.0, -25.0, 145.0, 155.0).unwrap();
-        let u = a.union(&b);
-        assert_eq!(u, BoundingBox::new(-40.0, -25.0, 140.0, 155.0).unwrap());
-    }
-
-    #[test]
-    fn expanded_clamps_to_valid_range() {
-        let b = BoundingBox::new(-89.0, 89.0, -179.0, 179.0).unwrap();
-        let e = b.expanded(5.0);
-        assert_eq!(e.min_lat, -90.0);
-        assert_eq!(e.max_lat, 90.0);
-        assert_eq!(e.min_lon, -180.0);
-        assert_eq!(e.max_lon, 180.0);
     }
 
     #[test]

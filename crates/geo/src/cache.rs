@@ -5,24 +5,24 @@
 //! geometry — distances between fixed area centres, and per-origin
 //! distance rankings for the intervening-population term. Before this
 //! module each consumer rebuilt that geometry with scalar
-//! [`haversine_km`] calls; [`PairGeometry`] builds it once (via the
-//! [`TrigPoint`] kernel, which hoists the per-point trigonometry out of
-//! the pair loop) and is cheap to share behind an [`Arc`].
+//! [`haversine_km`](crate::haversine_km) calls; [`PairGeometry`] builds
+//! it once (via the [`TrigPoint`] kernel, which hoists the per-point
+//! trigonometry out of the pair loop) and is cheap to share behind an
+//! [`Arc`].
 //!
 //! **Determinism contract**: [`TrigPoint::distance_km`] evaluates the
-//! *same* floating-point expression as [`haversine_km`], operation for
-//! operation, on precomputed `lat.to_radians()` / `lon.to_radians()` /
+//! *same* floating-point expression as
+//! [`haversine_km`](crate::haversine_km), operation for operation, on
+//! precomputed `lat.to_radians()` / `lon.to_radians()` /
 //! `cos(lat)` values — so every distance in the cache is bit-identical
-//! to the scalar path it replaces. [`PairGeometry::build_direct`] keeps
-//! the scalar path as the reference the tests compare the cache against,
-//! bit for bit.
+//! to the scalar path it replaces. The tests keep that scalar path as
+//! the reference they compare the cache against, bit for bit.
 //!
 //! Observability (`cache/pairgeo/*`): `build_ns` (cumulative build
-//! time, redacted like every `_ns` field), `hits` (distance lookups
-//! served from a built cache) and `misses` (pair distances recomputed
-//! by the scalar escape path).
+//! time, redacted like every `_ns` field) and `hits` (distance lookups
+//! served from a built cache).
 
-use crate::distance::{haversine_km, EARTH_RADIUS_KM};
+use crate::distance::EARTH_RADIUS_KM;
 use crate::point::Point;
 use std::fmt;
 use std::sync::Arc;
@@ -86,7 +86,7 @@ impl TrigPoint {
     }
 
     /// Great-circle distance to `other`, km — bit-identical to
-    /// [`haversine_km`] on the originating points.
+    /// [`haversine_km`](crate::haversine_km) on the originating points.
     ///
     /// This must stay the exact expression from `distance.rs` (same
     /// operations, same association) with the per-point factors
@@ -108,10 +108,10 @@ impl TrigPoint {
 /// Batch pairwise-distance kernel: the upper triangle (`i < j`,
 /// row-major) of the distance matrix over `points`, via [`TrigPoint`].
 ///
-/// Output is bit-identical to calling [`haversine_km`] per pair
-/// ([`pairwise_km_direct`]), at roughly a third of the transcendental
-/// work — the per-point trigonometry is computed n times instead of
-/// n·(n−1) times.
+/// Output is bit-identical to calling
+/// [`haversine_km`](crate::haversine_km) per pair, at roughly a third of
+/// the transcendental work — the per-point trigonometry is computed n
+/// times instead of n·(n−1) times.
 #[must_use]
 pub fn pairwise_km(points: &[Point]) -> Vec<f64> {
     let trig: Vec<TrigPoint> = points.iter().copied().map(TrigPoint::new).collect();
@@ -120,22 +120,6 @@ pub fn pairwise_km(points: &[Point]) -> Vec<f64> {
     for (i, a) in trig.iter().enumerate() {
         for b in &trig[i + 1..] {
             out.push(a.distance_km(b));
-        }
-    }
-    out
-}
-
-/// Scalar reference for [`pairwise_km`]: the same upper triangle via
-/// per-pair [`haversine_km`]. The reference the tests compare the
-/// kernel against.
-#[must_use]
-pub fn pairwise_km_direct(points: &[Point]) -> Vec<f64> {
-    let n = points.len();
-    let mut out = Vec::with_capacity(n * n.saturating_sub(1) / 2);
-    for (i, &a) in points.iter().enumerate() {
-        for &b in &points[i + 1..] {
-            // lint: allow(raw-haversine) — this IS the pre-cache scalar baseline the cache is bit-compared against
-            out.push(haversine_km(a, b));
         }
     }
     out
@@ -170,16 +154,6 @@ impl PairGeometry {
     #[must_use]
     pub fn build(points: &[Point]) -> Self {
         Self::from_triangle(points.len(), pairwise_km(points))
-    }
-
-    /// Builds the cache with scalar per-pair [`haversine_km`] — the
-    /// pre-cache path, kept as the tests' reference. Every pair distance
-    /// is counted as a `cache/pairgeo/misses`.
-    #[must_use]
-    pub fn build_direct(points: &[Point]) -> Self {
-        let tri = pairwise_km_direct(points);
-        tweetmob_obs::counter!("cache/pairgeo/misses").add(tri.len() as u64);
-        Self::from_triangle(points.len(), tri)
     }
 
     /// [`PairGeometry::build`] wrapped in an [`Arc`] for sharing.
@@ -389,6 +363,28 @@ fn tri_lookup(tri: &[f64], n: usize, i: usize, j: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::distance::haversine_km;
+
+    /// Scalar reference for [`pairwise_km`]: the same upper triangle via
+    /// per-pair [`haversine_km`].
+    fn pairwise_km_direct(points: &[Point]) -> Vec<f64> {
+        let n = points.len();
+        let mut out = Vec::with_capacity(n * n.saturating_sub(1) / 2);
+        for (i, &a) in points.iter().enumerate() {
+            for &b in &points[i + 1..] {
+                out.push(haversine_km(a, b));
+            }
+        }
+        out
+    }
+
+    impl PairGeometry {
+        /// Builds the cache with scalar per-pair [`haversine_km`], the
+        /// path the kernel build is compared against.
+        fn build_direct(points: &[Point]) -> Self {
+            Self::from_triangle(points.len(), pairwise_km_direct(points))
+        }
+    }
 
     fn scatter(count: usize, seed: u64) -> Vec<Point> {
         let mut k = seed;
@@ -495,9 +491,10 @@ mod tests {
         let geo = PairGeometry::build(&pts);
         let rows = geo.dense_rows();
         assert_eq!(rows.len(), 6);
-        for i in 0..6 {
-            for j in 0..6 {
-                assert_eq!(rows[i][j].to_bits(), geo.distance(i, j).to_bits());
+        for (i, row) in rows.iter().enumerate() {
+            assert_eq!(row.len(), 6);
+            for (j, d) in row.iter().enumerate() {
+                assert_eq!(d.to_bits(), geo.distance(i, j).to_bits());
             }
         }
     }
@@ -580,14 +577,8 @@ mod tests {
     }
 
     #[test]
-    fn cache_metrics_are_recorded() {
-        let pts = scatter(5, 77);
-        let before_misses = tweetmob_obs::counter!("cache/pairgeo/misses").value();
-        let geo = PairGeometry::build_direct(&pts);
-        assert_eq!(
-            tweetmob_obs::counter!("cache/pairgeo/misses").value(),
-            before_misses + 10
-        );
+    fn cache_hits_are_counted() {
+        let geo = PairGeometry::build(&scatter(5, 77));
         let before_hits = tweetmob_obs::counter!("cache/pairgeo/hits").value();
         let _ = geo.distance(0, 1);
         let _ = geo.distance(2, 2);

@@ -102,13 +102,6 @@ impl DensityGrid {
         (col < self.nx && row < self.ny).then(|| self.counts[row * self.nx + col])
     }
 
-    /// `log10(count)` at `(col, row)`, with empty cells mapped to `None`
-    /// inside `Some` — i.e. `Some(None)` means "in bounds but empty".
-    pub fn log10_count(&self, col: usize, row: usize) -> Option<Option<f64>> {
-        self.count(col, row)
-            .map(|c| (c > 0).then(|| (c as f64).log10()))
-    }
-
     /// All non-empty cells, in row-major order (south-west first).
     pub fn nonempty_cells(&self) -> Vec<DensityCell> {
         let mut out = Vec::new();
@@ -233,15 +226,6 @@ mod tests {
         let g = DensityGrid::new(unit_box(), 1.0);
         assert_eq!(g.count(1000, 0), None);
         assert_eq!(g.count(0, 1000), None);
-    }
-
-    #[test]
-    fn log10_distinguishes_empty_from_one() {
-        let mut g = DensityGrid::new(unit_box(), 1.0);
-        g.add(Point::new_unchecked(0.5, 0.5));
-        assert_eq!(g.log10_count(0, 0), Some(Some(0.0))); // log10(1) = 0
-        assert_eq!(g.log10_count(1, 1), Some(None)); // empty
-        assert_eq!(g.log10_count(99, 99), None); // out of bounds
     }
 
     #[test]

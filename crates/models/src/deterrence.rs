@@ -12,18 +12,10 @@
 //! raw distance.
 
 use crate::fitted::FittedModel;
-use crate::traits::{FlowObservation, ModelError};
+use crate::traits::{map_stats_err, FlowObservation, ModelError};
 use tweetmob_stats::regression::Ols;
-use tweetmob_stats::StatsError;
 
 const LOG10_E: f64 = std::f64::consts::LOG10_E;
-
-fn map_stats_err(e: StatsError) -> ModelError {
-    match e {
-        StatsError::TooFewSamples { needed, got } => ModelError::TooFewObservations { needed, got },
-        _ => ModelError::DegenerateFit("singular log-space regression"),
-    }
-}
 
 /// Gravity with pure exponential deterrence: `P = C·m·n·exp(−d/κ)`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -52,10 +44,11 @@ impl GravityExpFit {
         for o in observations.iter().filter(|o| o.fittable()) {
             let lhs =
                 o.observed_flow.log10() - o.origin_population.log10() - o.dest_population.log10();
-            ols.add(&[o.distance_km], lhs).map_err(map_stats_err)?;
+            ols.add(&[o.distance_km], lhs)
+                .map_err(|e| map_stats_err(&e))?;
         }
         let n_used = ols.n();
-        let fit = ols.solve().map_err(map_stats_err)?;
+        let fit = ols.solve().map_err(|e| map_stats_err(&e))?;
         let slope = fit.coef(0);
         if slope >= 0.0 {
             return Err(ModelError::DegenerateFit(
@@ -119,10 +112,10 @@ impl TannerFit {
             let lhs =
                 o.observed_flow.log10() - o.origin_population.log10() - o.dest_population.log10();
             ols.add(&[o.distance_km.log10(), o.distance_km], lhs)
-                .map_err(map_stats_err)?;
+                .map_err(|e| map_stats_err(&e))?;
         }
         let n_used = ols.n();
-        let fit = ols.solve().map_err(map_stats_err)?;
+        let fit = ols.solve().map_err(|e| map_stats_err(&e))?;
         Ok(Self {
             c: 10f64.powf(fit.intercept()),
             gamma: -fit.coef(0),

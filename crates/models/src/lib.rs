@@ -3,16 +3,9 @@
 //! The mobility models of the paper's §IV, with fitting and evaluation:
 //!
 //! * **Gravity, 4 parameters** (Eq. 1): `P ∝ C · mᵅ nᵝ / dᵞ` — fitted by
-//!   least squares in log space ([`Gravity4Fit`]).
+//!   least squares in log space ([`Gravity4Fit`]), as the paper does.
 //! * **Gravity, 2 parameters** (Eq. 2): `P ∝ C · m n / dᵞ`
 //!   ([`Gravity2Fit`]).
-//! * **Gravity grid search** — exhaustive `(α, β, γ)` search with the
-//!   scale solved in closed form, dispatched over the shared
-//!   `tweetmob-par` worker pool ([`Gravity4Fit::fit_grid`] with
-//!   [`GravityGrid`]). The search runs on struct-of-arrays log-feature
-//!   columns ([`FitColumns`]) that hoist the `α`/`β` part of each
-//!   residual across gamma runs; the pre-columnar path survives as
-//!   [`Gravity4Fit::fit_grid_reference`], the tests' scalar reference.
 //! * **Radiation** (Eq. 3): `P ∝ C · m n / ((m+s)(m+n+s))`, where `s` is
 //!   the population within radius `d` of the origin excluding origin and
 //!   destination ([`RadiationFit`], with [`InterveningPopulation`]
@@ -65,7 +58,6 @@
 // `!(x > 0.0)` guards are deliberate: they also reject NaN.
 #![allow(clippy::neg_cmp_op_on_partial_ord)]
 
-mod columns;
 mod deterrence;
 mod evaluation;
 mod fitted;
@@ -75,11 +67,10 @@ mod opportunities;
 mod radiation;
 mod traits;
 
-pub use columns::{FitColumns, RunMoments, LANES};
 pub use deterrence::{GravityExpFit, TannerFit};
 pub use evaluation::{evaluate, evaluate_vectors, ModelEvaluation};
 pub use fitted::{FittedModel, FittedModelSet, ModelKind};
-pub use gravity::{Gravity2Fit, Gravity4Fit, GravityGrid, GridAxis};
+pub use gravity::{Gravity2Fit, Gravity4Fit};
 pub use ipf::{DoublyConstrainedFit, IpfError};
 pub use opportunities::OpportunitiesFit;
 pub use radiation::{InterveningPopulation, RadiationFit};

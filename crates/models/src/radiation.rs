@@ -188,14 +188,9 @@ impl FittedModel for RadiationFit {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tweetmob_geo::haversine_km;
 
     impl InterveningPopulation {
-        /// As [`InterveningPopulation::build`], but through the scalar
-        /// per-pair distance path ([`PairGeometry::build_direct`]).
-        fn build_direct(centers: &[Point], populations: &[f64]) -> Self {
-            Self::from_geometry(Arc::new(PairGeometry::build_direct(centers)), populations)
-        }
-
         /// Reference O(n) scan for [`InterveningPopulation::s`].
         fn s_naive(&self, origin: usize, dest: usize) -> f64 {
             let d = self.geometry.distance(origin, dest);
@@ -296,12 +291,22 @@ mod tests {
             .collect();
         let pops: Vec<f64> = (0..20).map(|_| next(1e3, 1e6)).collect();
         let cached = InterveningPopulation::build(&centers, &pops);
-        let direct = InterveningPopulation::build_direct(&centers, &pops);
         for i in 0..20 {
-            for j in 0..20 {
-                if i != j {
-                    assert_eq!(cached.s(i, j).to_bits(), direct.s(i, j).to_bits());
-                }
+            // The brute-force disc sum: scalar haversine distances from
+            // the origin, summed nearest first (ties in index order).
+            let mut ranked: Vec<(f64, usize)> = (0..20)
+                .filter(|&j| j != i)
+                .map(|j| (haversine_km(centers[i], centers[j]), j))
+                .collect();
+            ranked.sort_by(|a, b| a.0.total_cmp(&b.0));
+            for j in (0..20).filter(|&j| j != i) {
+                let d = haversine_km(centers[i], centers[j]);
+                let within: f64 = ranked
+                    .iter()
+                    .take_while(|&&(dist, _)| dist <= d)
+                    .fold(0.0, |acc, &(_, k)| acc + pops[k]);
+                let brute = (within - pops[j]).max(0.0);
+                assert_eq!(cached.s(i, j).to_bits(), brute.to_bits(), "s({i},{j})");
             }
         }
     }

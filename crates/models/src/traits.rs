@@ -1,6 +1,7 @@
 //! The model interface and shared observation type.
 
 use std::fmt;
+use tweetmob_stats::StatsError;
 
 /// One origin–destination observation, ready for fitting or prediction.
 ///
@@ -68,6 +69,14 @@ impl fmt::Display for ModelError {
 }
 
 impl std::error::Error for ModelError {}
+
+/// Maps an OLS failure onto the model error a log-space fit reports.
+pub(crate) fn map_stats_err(e: &StatsError) -> ModelError {
+    match *e {
+        StatsError::TooFewSamples { needed, got } => ModelError::TooFewObservations { needed, got },
+        _ => ModelError::DegenerateFit("singular log-space regression"),
+    }
+}
 
 #[cfg(test)]
 mod tests {

@@ -16,9 +16,7 @@
 //! 2. **Near-zero cost.** Counter/gauge/histogram handles are a couple of
 //!    relaxed atomics per record; span open/close locks a `Mutex` but
 //!    spans wrap pipeline *stages* (load, trip extraction, each model
-//!    fit), not inner loops. A disabled registry reduces every operation
-//!    to one relaxed load, which is the no-op baseline the benches use to
-//!    demonstrate overhead.
+//!    fit), not inner loops.
 //! 3. **No dependencies.** Every pipeline crate links this, so it is
 //!    `std`-only; JSON is emitted by hand. The [`mod@json`] module is the
 //!    workspace's one JSON value, parser and writer.
@@ -75,7 +73,7 @@ use std::sync::OnceLock;
 static GLOBAL: OnceLock<MetricsRegistry> = OnceLock::new();
 
 /// The process-wide registry every pipeline crate records into. Created
-/// enabled on first touch.
+/// on first touch.
 pub fn global() -> &'static MetricsRegistry {
     GLOBAL.get_or_init(MetricsRegistry::new)
 }
@@ -109,8 +107,7 @@ macro_rules! gauge {
 #[cfg(test)]
 mod tests {
     #[test]
-    fn global_registry_is_shared_and_enabled() {
-        assert!(super::global().is_enabled());
+    fn global_registry_is_shared() {
         let c = crate::counter!("lib-test/shared");
         c.add(2);
         assert_eq!(super::global().counter_value("lib-test/shared"), Some(2));

@@ -96,7 +96,7 @@ pub fn fnv1a64_file(path: &str) -> std::io::Result<(u64, u64)> {
     let mut file = std::fs::File::open(path)?;
     let mut hash = FNV_OFFSET;
     let mut size = 0u64;
-    let mut buf = [0u8; 64 * 1024];
+    let mut buf = vec![0u8; 64 * 1024];
     loop {
         let n = file.read(&mut buf)?;
         if n == 0 {
@@ -192,9 +192,9 @@ impl RunManifest {
         render_stamps(&mut out, &self.inputs, inner);
         out.push_str(",\n");
         if !portable {
-            let _ = write!(
+            let _ = writeln!(
                 out,
-                "{:inner$}\"outcome\": \"{}\",\n",
+                "{:inner$}\"outcome\": \"{}\",",
                 "",
                 crate::json::escape(&self.outcome)
             );
@@ -202,17 +202,17 @@ impl RunManifest {
             render_stamps(&mut out, &self.outputs, inner);
             out.push_str(",\n");
         }
-        let _ = write!(
+        let _ = writeln!(
             out,
-            "{:inner$}\"schema_version\": {},\n",
+            "{:inner$}\"schema_version\": {},",
             "", MANIFEST_SCHEMA_VERSION
         );
         match self.seed {
             Some(seed) => {
-                let _ = write!(out, "{:inner$}\"seed\": {seed},\n", "");
+                let _ = writeln!(out, "{:inner$}\"seed\": {seed},", "");
             }
             None => {
-                let _ = write!(out, "{:inner$}\"seed\": null,\n", "");
+                let _ = writeln!(out, "{:inner$}\"seed\": null,", "");
             }
         }
         let _ = write!(

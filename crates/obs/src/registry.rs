@@ -7,7 +7,7 @@ use crate::span::{SpanGuard, SpanStat, SpanStore, LATENCY_BOUNDS_NS};
 use crate::trace::{TraceBuffer, TraceEvent, TracePhase};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
@@ -15,15 +15,12 @@ use std::time::Instant;
 #[derive(Debug, Clone)]
 pub struct Counter {
     cell: Arc<AtomicU64>,
-    enabled: Arc<AtomicBool>,
 }
 
 impl Counter {
-    /// Adds `n`. A no-op while the owning registry is disabled.
+    /// Adds `n`.
     pub fn add(&self, n: u64) {
-        if self.enabled.load(Ordering::Relaxed) {
-            self.cell.fetch_add(n, Ordering::Relaxed);
-        }
+        self.cell.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Adds one.
@@ -42,15 +39,12 @@ impl Counter {
 #[derive(Debug, Clone)]
 pub struct Gauge {
     cell: Arc<AtomicI64>,
-    enabled: Arc<AtomicBool>,
 }
 
 impl Gauge {
-    /// Sets the gauge. A no-op while the owning registry is disabled.
+    /// Sets the gauge.
     pub fn set(&self, v: i64) {
-        if self.enabled.load(Ordering::Relaxed) {
-            self.cell.store(v, Ordering::Relaxed);
-        }
+        self.cell.store(v, Ordering::Relaxed);
     }
 
     /// The current value.
@@ -76,7 +70,6 @@ impl Gauge {
 /// [`MetricsRegistry::to_json_redacted`] zeroes for byte-comparison.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
-    enabled: Arc<AtomicBool>,
     counters: Mutex<BTreeMap<String, Arc<AtomicU64>>>,
     gauges: Mutex<BTreeMap<String, Arc<AtomicI64>>>,
     histograms: Mutex<BTreeMap<String, Arc<HistogramInner>>>,
@@ -96,30 +89,10 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 impl MetricsRegistry {
-    /// A fresh, enabled registry.
+    /// A fresh, empty registry.
     #[must_use]
     pub fn new() -> Self {
-        let registry = Self::default();
-        registry.enabled.store(true, Ordering::Relaxed);
-        registry
-    }
-
-    /// A fresh registry that records nothing until enabled — the no-op
-    /// baseline for overhead measurements.
-    #[must_use]
-    pub fn disabled() -> Self {
         Self::default()
-    }
-
-    /// Turns recording on or off. Existing handles observe the switch.
-    pub fn set_enabled(&self, enabled: bool) {
-        self.enabled.store(enabled, Ordering::Relaxed);
-    }
-
-    /// Whether the registry is recording.
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
     }
 
     /// The counter registered under `name`, created at zero on first use.
@@ -130,10 +103,7 @@ impl MetricsRegistry {
                 .entry(name.to_string())
                 .or_insert_with(|| Arc::new(AtomicU64::new(0))),
         );
-        Counter {
-            cell,
-            enabled: Arc::clone(&self.enabled),
-        }
+        Counter { cell }
     }
 
     /// The gauge registered under `name`, created at zero on first use.
@@ -144,10 +114,7 @@ impl MetricsRegistry {
                 .entry(name.to_string())
                 .or_insert_with(|| Arc::new(AtomicI64::new(0))),
         );
-        Gauge {
-            cell,
-            enabled: Arc::clone(&self.enabled),
-        }
+        Gauge { cell }
     }
 
     /// The histogram registered under `name`. Bucket bounds freeze on
@@ -161,23 +128,12 @@ impl MetricsRegistry {
                 .entry(name.to_string())
                 .or_insert_with(|| Arc::new(HistogramInner::new(bounds))),
         );
-        Histogram {
-            inner,
-            enabled: Arc::clone(&self.enabled),
-        }
+        Histogram { inner }
     }
 
     /// Opens a span named `name`, nested under any span already live on
-    /// this thread. While the registry is disabled this is a no-op guard
-    /// that never reads the clock.
+    /// this thread.
     pub fn span(&self, name: &str) -> SpanGuard<'_> {
-        if !self.is_enabled() {
-            return SpanGuard {
-                active: None,
-                #[cfg(feature = "alloc")]
-                alloc_at_open: None,
-            };
-        }
         let path = crate::span::push_scope(name);
         let t_ns = self.epoch_ns();
         {
@@ -186,7 +142,9 @@ impl MetricsRegistry {
         }
         lock(&self.trace).record(TracePhase::Begin, &path, t_ns, 0);
         SpanGuard {
-            active: Some((self, path, Instant::now())),
+            registry: self,
+            path,
+            start: Instant::now(),
             #[cfg(feature = "alloc")]
             alloc_at_open: tweetmob_alloc::is_counting().then(tweetmob_alloc::snapshot),
         }
@@ -567,25 +525,6 @@ mod tests {
         b.incr();
         assert_eq!(r.counter_value("x"), Some(4));
         assert_eq!(a.value(), 4);
-    }
-
-    #[test]
-    fn disabled_registry_records_nothing() {
-        let r = MetricsRegistry::disabled();
-        let c = r.counter("x");
-        c.add(10);
-        let g = r.gauge("y");
-        g.set(5);
-        {
-            let _guard = r.span("stage");
-        }
-        assert_eq!(r.counter_value("x"), Some(0));
-        assert_eq!(r.gauge_value("y"), Some(0));
-        assert!(r.span_paths().is_empty());
-        // Flipping it on makes the same handles live.
-        r.set_enabled(true);
-        c.add(10);
-        assert_eq!(c.value(), 10);
     }
 
     #[test]

@@ -206,42 +206,35 @@ pub(crate) fn pop_scope(elapsed_ns: u64) -> u64 {
 #[must_use = "a span guard measures until dropped; binding it to `_` drops it immediately"]
 #[derive(Debug)]
 pub struct SpanGuard<'a> {
-    /// `None` for the no-op guard handed out while the registry is
-    /// disabled — no clock is read and nothing is recorded.
-    pub(crate) active: Option<(&'a MetricsRegistry, String, Instant)>,
+    /// The registry the span records into.
+    pub(crate) registry: &'a MetricsRegistry,
+    /// The full (nesting-prefixed) path.
+    pub(crate) path: String,
+    /// When the span opened.
+    pub(crate) start: Instant,
     /// Allocation counts at span open, for the per-span allocator
     /// gauges. `None` when no counting allocator is installed.
     #[cfg(feature = "alloc")]
     pub(crate) alloc_at_open: Option<tweetmob_alloc::AllocSnapshot>,
 }
 
-impl SpanGuard<'_> {
-    /// The full (nesting-prefixed) path, or `None` for a no-op guard.
-    #[must_use]
-    pub fn path(&self) -> Option<&str> {
-        self.active.as_ref().map(|(_, p, _)| p.as_str())
-    }
-}
-
 impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
-        if let Some((registry, path, start)) = self.active.take() {
-            let elapsed = start.elapsed().as_nanos();
-            // u128→u64 ns saturates after ~584 years of elapsed time.
-            let elapsed_ns = u64::try_from(elapsed).unwrap_or(u64::MAX);
-            let child_ns = pop_scope(elapsed_ns);
-            registry.record_span(&path, elapsed_ns, child_ns);
-            #[cfg(feature = "alloc")]
-            if let Some(open) = self.alloc_at_open.take() {
-                let now = tweetmob_alloc::snapshot();
-                registry.gauge(&format!("alloc/{path}/allocations")).set(
-                    i64::try_from(now.allocations.saturating_sub(open.allocations))
-                        .unwrap_or(i64::MAX),
-                );
-                registry
-                    .gauge(&format!("alloc/{path}/peak_bytes"))
-                    .set(i64::try_from(now.peak_bytes).unwrap_or(i64::MAX));
-            }
+        let elapsed = self.start.elapsed().as_nanos();
+        // u128→u64 ns saturates after ~584 years of elapsed time.
+        let elapsed_ns = u64::try_from(elapsed).unwrap_or(u64::MAX);
+        let child_ns = pop_scope(elapsed_ns);
+        let (registry, path) = (self.registry, &self.path);
+        registry.record_span(path, elapsed_ns, child_ns);
+        #[cfg(feature = "alloc")]
+        if let Some(open) = self.alloc_at_open.take() {
+            let now = tweetmob_alloc::snapshot();
+            registry.gauge(&format!("alloc/{path}/allocations")).set(
+                i64::try_from(now.allocations.saturating_sub(open.allocations)).unwrap_or(i64::MAX),
+            );
+            registry
+                .gauge(&format!("alloc/{path}/peak_bytes"))
+                .set(i64::try_from(now.peak_bytes).unwrap_or(i64::MAX));
         }
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! The workspace's shared parallel-execution layer: a deterministic
 //! chunked worker pool that every hot pipeline stage (trip extraction,
-//! population estimation, tweet synthesis, gravity grid search,
+//! population estimation, tweet synthesis,
 //! stochastic epidemic replicates) runs on. It replaces the bespoke
 //! per-stage `crossbeam::thread::scope` blocks the seed grew — the
 //! `tweetmob-lint` `par-layer` rule now rejects raw thread spawns
@@ -188,10 +188,10 @@ where
     M: FnMut(T, T) -> T,
 {
     let chunks = par_map_chunks(stage, n_items, min_parallel, map);
-    // lint: allow(no-panic) — par_map_chunks always returns ≥ 1 chunk
     chunks
         .into_iter()
         .reduce(merge)
+        // lint: allow(no-panic) — par_map_chunks always returns ≥ 1 chunk
         .expect("at least one chunk")
 }
 
@@ -247,7 +247,7 @@ mod tests {
         let seen = with_threads(3, resolved_threads);
         assert_eq!(seen, 3);
         assert_eq!(OVERRIDE.load(Ordering::SeqCst), 0, "override restored");
-        let nested = with_threads(2, || with_threads_free_probe());
+        let nested = with_threads(2, with_threads_free_probe);
         assert_eq!(nested, 2);
     }
 

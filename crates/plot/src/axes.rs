@@ -29,7 +29,8 @@ impl Axis {
             AxisKind::Linear => (data_min, data_max),
             AxisKind::Log => (data_min.max(1e-12), data_max.max(1e-12)),
         };
-        if !(hi > lo) {
+        // A NaN bound counts as degenerate too.
+        if hi <= lo || hi.is_nan() || lo.is_nan() {
             match kind {
                 AxisKind::Linear => {
                     lo -= 0.5;

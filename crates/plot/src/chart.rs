@@ -121,11 +121,6 @@ impl ScatterChart {
         self
     }
 
-    /// Number of series added so far.
-    pub fn n_series(&self) -> usize {
-        self.series.len()
-    }
-
     fn data_bounds(&self) -> ((f64, f64), (f64, f64)) {
         let mut xb = (f64::INFINITY, f64::NEG_INFINITY);
         let mut yb = (f64::INFINITY, f64::NEG_INFINITY);

@@ -86,12 +86,13 @@ pub fn serve<A: ToSocketAddrs>(
     let stop = Arc::new(AtomicBool::new(false));
     let workers = workers.max(1);
     let mut handles = Vec::with_capacity(workers);
-    for _ in 0..workers {
+    // One state per worker: `workers - 1` clones, and the last worker
+    // takes the original.
+    for state in std::iter::repeat_n(state, workers) {
         let listener = listener.try_clone()?;
-        let state = state.clone();
         let stop = Arc::clone(&stop);
         handles.push(std::thread::spawn(move || {
-            worker_loop(&listener, &state, &stop)
+            worker_loop(&listener, &state, &stop);
         }));
     }
     Ok(ServerHandle {

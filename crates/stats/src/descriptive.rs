@@ -132,25 +132,6 @@ impl Summary {
     }
 }
 
-/// Geometric mean of strictly positive values.
-///
-/// # Errors
-///
-/// Empty input or any value ≤ 0 / non-finite.
-pub fn geometric_mean(xs: &[f64]) -> Result<f64> {
-    if xs.is_empty() {
-        return Err(StatsError::TooFewSamples { needed: 1, got: 0 });
-    }
-    let mut acc = 0.0;
-    for &x in xs {
-        if !x.is_finite() || x <= 0.0 {
-            return Err(StatsError::NonPositiveValue(x));
-        }
-        acc += x.ln();
-    }
-    Ok((acc / xs.len() as f64).exp())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -238,14 +219,5 @@ mod tests {
         let s = Summary::of(&[7.0]).unwrap();
         assert_eq!(s.mean, 7.0);
         assert!(s.std_dev.is_nan());
-    }
-
-    #[test]
-    fn geometric_mean_known() {
-        assert!((geometric_mean(&[1.0, 100.0]).unwrap() - 10.0).abs() < 1e-12);
-        assert!((geometric_mean(&[2.0, 8.0]).unwrap() - 4.0).abs() < 1e-12);
-        assert!(geometric_mean(&[1.0, 0.0]).is_err());
-        assert!(geometric_mean(&[1.0, -2.0]).is_err());
-        assert!(geometric_mean(&[]).is_err());
     }
 }

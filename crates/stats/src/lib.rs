@@ -2,15 +2,15 @@
 //!
 //! From-scratch statistics substrate for the `tweetmob` workspace. No
 //! external math dependencies: special functions (ln-gamma, regularised
-//! incomplete beta, erf) are implemented here and everything else builds on
+//! incomplete beta) are implemented here and everything else builds on
 //! them.
 //!
 //! The paper needs, and this crate provides:
 //!
 //! * **Pearson correlation with a two-tailed p-value** — the paper reports
 //!   r = 0.816, p = 2.06e-15 for population estimation (Fig. 3) and uses
-//!   Pearson again for Table II. The p-value requires the Student-t CDF,
-//!   hence [`special`] and [`distributions`].
+//!   Pearson again for Table II. The p-value is a Student-t tail
+//!   probability, hence [`special`] and [`distributions`].
 //! * **Least-squares fitting in log space** — gravity-model parameters are
 //!   "estimated from least-square fitting after taking logarithm of the
 //!   formulas" (§IV). [`regression::Ols`] is a small multiple-regression
@@ -20,12 +20,11 @@
 //!   log-binned means ([`binning`]).
 //! * **Power-law fitting** — Fig. 2(a) "essentially follows a power-law
 //!   distribution"; [`powerlaw`] has a Clauset-style MLE and KS distance.
-//! * **HitRate@q and friends** — Table II's HitRate@50% plus RMSE/MAE/SSI
-//!   used as additional metrics ([`metrics`]), answering the paper's
+//! * **HitRate@q and friends** — Table II's HitRate@50% plus RMSE and
+//!   SSI used as additional metrics ([`metrics`]), answering the paper's
 //!   future-work call for "more metrics".
-//! * **Bootstrap confidence intervals** ([`bootstrap`]) with a tiny
-//!   embedded SplitMix64 generator ([`rng`]) so the crate stays
-//!   dependency-free.
+//! * **A seeded pseudo-random generator** — SplitMix64 ([`rng`]), the
+//!   workspace's one random stream, so the crate stays dependency-free.
 //! * **Concentration indices** ([`concentration`]) — Gini and Theil —
 //!   quantifying the "sparse and uneven population distribution" the
 //!   paper blames for Radiation's misfit.
@@ -55,7 +54,6 @@
 #![allow(clippy::excessive_precision)]
 
 pub mod binning;
-pub mod bootstrap;
 pub mod check;
 pub mod concentration;
 pub mod correlation;

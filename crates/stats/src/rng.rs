@@ -2,10 +2,9 @@
 //!
 //! SplitMix64 (Steele, Lea & Flood 2014) is a 64-bit generator with
 //! good statistical quality for its size and a one-line step function.
-//! Every random stream in the workspace draws from it: bootstrap
-//! resampling, the synthetic tweet generator (one stream per user), the
-//! stochastic epidemic (one stream per replicate) and the seeded
-//! property tests. Seeding is explicit everywhere, so every stream is
+//! Every random stream in the workspace draws from it: the synthetic
+//! tweet generator (one stream per user), the stochastic epidemic (one
+//! stream per replicate) and the seeded property tests. Seeding is explicit everywhere, so every stream is
 //! reproducible from its configuration.
 
 /// SplitMix64 generator state.
@@ -48,7 +47,7 @@ impl SplitMix64 {
     }
 
     /// Uniform integer in `[0, bound)` via Lemire's multiply-shift
-    /// (unbiased enough for bootstrap resampling; the modulo bias of the
+    /// (unbiased enough for seeded test draws; the modulo bias of the
     /// plain approach would be < 2⁻⁵³ anyway for realistic bounds).
     ///
     /// # Panics

@@ -9,7 +9,6 @@
 
 use tweetmob::core::{extract_trips, AreaSet, Experiment, Scale};
 use tweetmob::epidemic::{MobilityNetwork, OutbreakScenario};
-use tweetmob::models::{Gravity4Fit, GravityGrid};
 use tweetmob::par::with_threads;
 use tweetmob::synth::{GeneratorConfig, TweetGenerator};
 
@@ -64,19 +63,6 @@ fn population_estimation_is_thread_invariant() {
     assert_thread_invariant("population", || {
         exp.population_correlation(Scale::National)
             .expect("population correlation on the standard dataset")
-    });
-}
-
-#[test]
-fn gravity_grid_search_is_thread_invariant() {
-    let ds = TweetGenerator::new(config()).generate();
-    let exp = Experiment::new(&ds);
-    let report = with_threads(1, || {
-        exp.mobility(Scale::National).expect("mobility report")
-    });
-    let grid = GravityGrid::default();
-    assert_thread_invariant("gravity-grid", || {
-        Gravity4Fit::fit_grid(&report.observations, &grid).expect("grid search")
     });
 }
 
