@@ -378,14 +378,6 @@ mod tests {
         out
     }
 
-    impl PairGeometry {
-        /// Builds the cache with scalar per-pair [`haversine_km`], the
-        /// path the kernel build is compared against.
-        fn build_direct(points: &[Point]) -> Self {
-            Self::from_triangle(points.len(), pairwise_km_direct(points))
-        }
-    }
-
     fn scatter(count: usize, seed: u64) -> Vec<Point> {
         let mut k = seed;
         let mut next = |lo: f64, hi: f64| {
@@ -463,7 +455,7 @@ mod tests {
     fn direct_build_matches_kernel_build() {
         let pts = scatter(15, 23);
         let fast = PairGeometry::build(&pts);
-        let slow = PairGeometry::build_direct(&pts);
+        let slow = PairGeometry::from_triangle(pts.len(), pairwise_km_direct(&pts));
         assert_eq!(fast.upper_triangle().len(), slow.upper_triangle().len());
         for (a, b) in fast.upper_triangle().iter().zip(slow.upper_triangle()) {
             assert_eq!(a.to_bits(), b.to_bits());
